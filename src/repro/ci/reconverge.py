@@ -43,24 +43,22 @@ def estimate_reconvergent_point(program: Program, branch: Instruction) -> int:
 
 @dataclass
 class NRBQEntry:
-    """One in-flight conditional branch tracked by the NRBQ.
-
-    ``mask`` has bit *r* set iff logical register *r* has been written by an
-    instruction after this branch and before the next branch in the queue.
-    """
+    """One in-flight conditional branch tracked by the NRBQ."""
 
     branch_pc: int
     reconv_pc: int
     seq: int          # dynamic sequence number of the branch
-    mask: int = 0
 
 
 class NRBQ:
     """Not Retired Branch Queue (16 entries in the paper's configuration).
 
-    The queue is ordered oldest → youngest.  Each fetched instruction sets
-    its destination-register bit in the *youngest* entry's mask; a newly
-    fetched branch appends a fresh entry with a cleared mask.
+    The queue is ordered oldest → youngest; a newly fetched conditional
+    branch appends an entry carrying its estimated re-convergent point.
+    The paper also keeps a per-entry register write mask here to seed the
+    CRP.  This model derives that mask from the squashed wrong path
+    instead (``ReconvergenceTracker._wrong_path_mask``), so entries carry
+    none.
     """
 
     def __init__(self, capacity: int = 16):
@@ -82,11 +80,6 @@ class NRBQ:
         self.entries.append(entry)
         return entry
 
-    def on_instruction_fetch(self, dest_reg: Optional[int]) -> None:
-        """Record a register write in the youngest entry's mask."""
-        if dest_reg is not None and self.entries:
-            self.entries[-1].mask |= 1 << dest_reg
-
     def on_branch_retire(self, seq: int) -> None:
         """Drop entries for branches at least as old as ``seq``."""
         while self.entries and self.entries[0].seq <= seq:
@@ -96,19 +89,6 @@ class NRBQ:
         """Remove entries for squashed (younger-than-``seq``) branches."""
         while self.entries and self.entries[-1].seq > seq:
             self.entries.pop()
-
-    def or_masks_from(self, seq: int) -> int:
-        """OR of the masks from the entry with sequence ``seq`` to the tail.
-
-        This initialises the CRP mask on a misprediction: every register
-        written after the mispredicted branch (down the wrong path) is
-        marked dirty.
-        """
-        acc = 0
-        for e in self.entries:
-            if e.seq >= seq:
-                acc |= e.mask
-        return acc
 
     def find(self, seq: int) -> Optional[NRBQEntry]:
         for e in self.entries:
@@ -123,8 +103,8 @@ class CRP:
 
     Holds the estimated re-convergent PC of the most recent qualifying
     misprediction, the R (reached) flag, and the dirty-register mask
-    accumulated since the branch was fetched (wrong path via the NRBQ OR,
-    correct path via :meth:`on_decode`).
+    accumulated since the branch was fetched (wrong path from the squashed
+    instructions, correct path via :meth:`on_decode`).
     """
 
     pc: int = -1

@@ -54,7 +54,7 @@ class ReplicaManager:
         self.stats = pipeline.stats
         self.stride = pipeline.selector.stride
         self.srsmt = SRSMT(cfg.srsmt_sets, cfg.srsmt_ways,
-                           release=self._release_entry_regs)
+                           release=self._release_entry)
         self.scheduler = ReplicaScheduler(
             load_latency=core.hierarchy.load_latency,
             mem_read=lambda addr: core.mem.get(addr, 0))
@@ -131,8 +131,11 @@ class ReplicaManager:
         else:
             self.core.freelist.release(n)
 
-    def _release_entry_regs(self, entry: SRSMTEntry) -> None:
+    def _release_entry(self, entry: SRSMTEntry) -> None:
+        """SRSMT deallocation: return the entry's registers and drop the
+        replicas parked on its outputs (they can never execute)."""
         self._release_regs(entry.regs_held)
+        self.scheduler.drop_waiters(entry)
 
     def _chronically_failing(self, pc: int) -> bool:
         """Gate for PCs whose validations (almost) never succeed.
@@ -544,5 +547,5 @@ class ReplicaManager:
         if sched.completions:
             # Operand-blocked replicas are parked on producer completions;
             # the next drain is the next possible wake-up.
-            return sched.completions[0].cycle
+            return sched.completions[0][0]
         return None

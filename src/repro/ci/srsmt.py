@@ -15,7 +15,7 @@ priority, never squashed by branch recoveries, retired at write-back).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..isa import ALU_EVAL, FU_LATENCY, Instruction
@@ -200,15 +200,6 @@ class SRSMT:
         return dead
 
 
-@dataclass(order=True)
-class _Completion:
-    cycle: int
-    tick: int
-    entry: SRSMTEntry = field(compare=False)
-    idx: int = field(compare=False)
-    generation: int = field(compare=False)
-
-
 class ReplicaScheduler:
     """Executes replica µops with leftover issue slots and cache ports."""
 
@@ -222,7 +213,9 @@ class ReplicaScheduler:
         #: per-cycle issue budget runs out the scan just stops popping,
         #: leaving the untouched tail exactly where it is.
         self.pending: List[Tuple[int, int, SRSMTEntry, int]] = []
-        self.completions: List[_Completion] = []
+        #: executing replicas, a heap of (cycle, tick, entry, idx,
+        #: generation); the tick is unique, so entries are never compared
+        self.completions: List[Tuple[int, int, SRSMTEntry, int, int]] = []
         self._tick = 0
         self._serial = 0
         self.load_latency = load_latency
@@ -234,9 +227,8 @@ class ReplicaScheduler:
         #: them.  Replica readiness is monotonic (``done`` flags are only
         #: ever set, never cleared; deallocation kills by generation), so
         #: parking is sound: a parked item can never become issuable before
-        #: its wake event.  Items whose producer dies un-woken linger here
-        #: harmlessly — they are dead-generation and would be dropped on
-        #: any scan.
+        #: its wake event.  Deallocating a producer kills every item parked
+        #: on it, so the SRSMT drops its lists then (:meth:`drop_waiters`).
         self._waiters: dict = {}
 
     def enqueue_batch(self, entry: SRSMTEntry) -> None:
@@ -267,19 +259,32 @@ class ReplicaScheduler:
             return None
         return prod.values[j]
 
+    def drop_waiters(self, entry: SRSMTEntry) -> None:
+        """Forget the replicas parked on ``entry``'s outputs.
+
+        Called when the SRSMT deallocates ``entry``: every replica waiting
+        on it is dead by generation, and one whose producer replica never
+        issued would otherwise stay parked, holding its batch and
+        operands, until the run ends."""
+        waiters = self._waiters
+        if waiters:
+            eid = id(entry)
+            for idx in range(entry.nregs):
+                waiters.pop((eid, idx), None)
+
     def drain_completions(self, now: int) -> None:
-        while self.completions and self.completions[0].cycle <= now:
-            c = heapq.heappop(self.completions)
-            e = c.entry
-            woken = self._waiters.pop((id(e), c.idx), None)
+        completions = self.completions
+        while completions and completions[0][0] <= now:
+            _, _, e, idx, generation = heapq.heappop(completions)
+            woken = self._waiters.pop((id(e), idx), None)
             if woken is not None:
                 # Re-activate parked consumers; the (idx, serial) heap key
                 # restores their exact scan position.
                 for item in woken:
                     heapq.heappush(self.pending, item)
-            if e.generation != c.generation:
+            if e.generation != generation:
                 continue  # entry was deallocated while executing
-            e.done[c.idx] = True
+            e.done[idx] = True
             e.issue -= 1
 
     def issue(self, now: int, slots: int, ports, stats,
@@ -383,8 +388,8 @@ class ReplicaScheduler:
             stats.replicas_executed += 1
             self._tick += 1
             heapq.heappush(self.completions,
-                           _Completion(now + lat, self._tick, entry, idx,
-                                       entry.generation))
+                           (now + lat, self._tick, entry, idx,
+                            entry.generation))
         for item in keep:
             heapq.heappush(pending, item)
         return issued

@@ -50,7 +50,7 @@ class ReconvergenceTracker:
         self._decodes_since_armed = 0
         # Decode-once image views for the per-dispatch hot path.  The
         # image's rd array is or-zero encoded, so precompute a per-PC
-        # "destination or None" that the NRBQ/CRP masks can consume
+        # "destination or None" that the CRP mask can consume
         # directly (feeding the 0 placeholder would dirty register r0).
         image = pipeline.core.image
         self._flags = image.flags
@@ -70,26 +70,19 @@ class ReconvergenceTracker:
             self._reconv_cache[pc] = est
         return est
 
-    # -- dispatch: NRBQ/CRP mask machinery -------------------------------
+    # -- dispatch: NRBQ tracking + CRP mask -------------------------------
     def on_dispatch(self, inst: "DynInst") -> None:
         pc = inst.pc
-        rd = self._rd_or_none[pc]
         if self._flags[pc] & F_COND_BRANCH:
             est = self._reconv_cache.get(pc)
             if est is None:
                 est = self._estimate(self.pipeline.core.program, inst.instr)
                 self._reconv_cache[pc] = est
             self.nrbq.on_branch_fetch(pc, est, inst.seq)
-        elif rd is not None:
-            # Inlined NRBQ.on_instruction_fetch: one mask update per
-            # dispatched instruction.
-            entries = self.nrbq.entries
-            if entries:
-                entries[-1].mask |= 1 << rd
         crp = self.crp
         if not crp.active:
             return
-        past_reconv = crp.on_decode(pc, rd)
+        past_reconv = crp.on_decode(pc, self._rd_or_none[pc])
         if not crp.active:
             return
         if past_reconv:

@@ -154,6 +154,16 @@ def _make_runner(args: argparse.Namespace, scale=None, seed=None):
                   retries=args.retries, sampling=sampling)
 
 
+def _sweep_scale(args: argparse.Namespace) -> float:
+    """A figure/ablation sweep's workload scale: ``--scale`` if given,
+    else ``REPRO_SCALE``, else the subcommand's default."""
+    if args.scale is not None:
+        return args.scale
+    import os
+    env = os.environ.get("REPRO_SCALE")
+    return float(env) if env else args.default_scale
+
+
 def _finish_sweep(runner) -> int:
     """Common sweep epilogue: runtime summary + aggregated failures."""
     print(runner.runtime_summary(), file=sys.stderr)
@@ -335,10 +345,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    import os
-    os.environ["REPRO_SCALE"] = str(args.scale)
     from .experiments import ALL_EXPERIMENTS, generate_report
-    runner = _make_runner(args)
+    runner = _make_runner(args, scale=_sweep_scale(args))
     if args.name == "all":
         print(generate_report(runner))
         return _finish_sweep(runner)
@@ -353,14 +361,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    import os
-    os.environ["REPRO_SCALE"] = str(args.scale)
     from .experiments import ALL_ABLATIONS
     if args.name not in ALL_ABLATIONS:
         print(f"unknown ablation {args.name!r}; known: "
               f"{', '.join(sorted(ALL_ABLATIONS))}", file=sys.stderr)
         return 2
-    runner = _make_runner(args)
+    runner = _make_runner(args, scale=_sweep_scale(args))
     print(ALL_ABLATIONS[args.name](runner).render())
     return _finish_sweep(runner)
 
@@ -686,16 +692,18 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("name",
                     help="fig04..fig14, intext, a number, or 'all' "
                          "(the full EXPERIMENTS.md report)")
-    pf.add_argument("--scale", type=float, default=0.5)
+    pf.add_argument("--scale", type=float, default=None,
+                    help="workload scale (default: REPRO_SCALE, else 0.5)")
     _add_jobs_arg(pf)
     _add_sample_arg(pf)
-    pf.set_defaults(fn=cmd_figure)
+    pf.set_defaults(fn=cmd_figure, default_scale=0.5)
 
     pa = sub.add_parser("ablation", help="run a design-choice ablation")
     pa.add_argument("name")
-    pa.add_argument("--scale", type=float, default=0.35)
+    pa.add_argument("--scale", type=float, default=None,
+                    help="workload scale (default: REPRO_SCALE, else 0.35)")
     _add_jobs_arg(pa)
-    pa.set_defaults(fn=cmd_ablation)
+    pa.set_defaults(fn=cmd_ablation, default_scale=0.35)
 
     pl = sub.add_parser("list", help="list kernels/figures/ablations")
     pl.set_defaults(fn=cmd_list)

@@ -19,7 +19,8 @@ False, ``mask`` 0); an armed CRP has a real re-convergent PC.
 replica was issued; in-flight issue count equals issued-minus-done;
 ``regs_held`` is non-negative; and (with the recovery-time cursor repair
 enabled, the default) ``commit <= decode`` — replicas never commit past
-the decode cursor.
+the decode cursor.  Every replica parked on an operand waits on a live
+entry: deallocation drops the wait lists keyed by the dead entry.
 
 **stride predictor** — confidence stays within the 2-bit counter range.
 
@@ -146,7 +147,8 @@ class InvariantChecker(Observer):
     # -- replica management ---------------------------------------------
     def _check_replicas(self, core, mech) -> None:
         repair = core.cfg.ci_recovery_repair
-        for e in mech.replicas.srsmt.all_entries():
+        entries = mech.replicas.srsmt.all_entries()
+        for e in entries:
             if not 0 <= e.commit <= e.nregs:
                 self._fail(core, f"SRSMT pc={e.pc}: commit cursor "
                                  f"{e.commit} outside [0, {e.nregs}]")
@@ -167,6 +169,11 @@ class InvariantChecker(Observer):
             if e.regs_held < 0:
                 self._fail(core, f"SRSMT pc={e.pc}: negative regs_held "
                                  f"{e.regs_held}")
+        live = {id(e) for e in entries}
+        for producer, idx in mech.replicas.scheduler._waiters:
+            if producer not in live:
+                self._fail(core, f"replicas parked on output {idx} of a "
+                                 f"deallocated SRSMT entry")
 
     # -- stride predictor -------------------------------------------------
     def _check_stride(self, core, stride) -> None:

@@ -59,8 +59,15 @@ CHECKPOINT_SCHEMA = 1
 
 
 def config_token(cfg: "ProcessorConfig") -> str:
-    """Canonical string form of a configuration (every field, sorted)."""
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str)
+    """Canonical string form of a configuration (every field, sorted).
+
+    Built shallowly from the instance dicts, which hold exactly the
+    fields of these frozen dataclasses: ``dataclasses.asdict`` deep-copies
+    every value, and the only nested values are the ``CacheConfig``
+    levels."""
+    values = {name: vars(value) if dataclasses.is_dataclass(value)
+              else value for name, value in vars(cfg).items()}
+    return json.dumps(values, sort_keys=True, default=str)
 
 
 def program_fingerprint(program: "Program") -> str:

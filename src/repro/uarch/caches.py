@@ -9,7 +9,7 @@ times.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .config import CacheConfig, ProcessorConfig
 
@@ -23,8 +23,10 @@ class CacheLevel:
         self.assoc = cfg.assoc
         self.line = cfg.line
         self.hit_latency = cfg.hit_latency
-        # Per-set list of tags in MRU -> LRU order.
-        self.sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per-set list of tags in MRU -> LRU order, allocated on first
+        # touch: a run visits a small fraction of the sets, and building
+        # every list up front dominated ``Core()`` construction.
+        self.sets: List[Optional[List[int]]] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
 
@@ -36,6 +38,10 @@ class CacheLevel:
         """Touch ``addr``; returns True on hit.  Misses allocate the line."""
         idx, tag = self._locate(addr)
         ways = self.sets[idx]
+        if ways is None:
+            self.misses += 1
+            self.sets[idx] = [tag]
+            return False
         if tag in ways:
             ways.remove(tag)
             ways.insert(0, tag)
@@ -50,7 +56,8 @@ class CacheLevel:
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU state."""
         idx, tag = self._locate(addr)
-        return tag in self.sets[idx]
+        ways = self.sets[idx]
+        return ways is not None and tag in ways
 
 
 class MemoryHierarchy:

@@ -378,6 +378,9 @@ class Core:
             if flags & F_WRITES_REG:
                 self.freelist.release(1)
                 self.rename.clear_owner_if(self.image.rd[inst.pc], inst)
+                # A retired instruction can no longer be undone; keeping
+                # the record would chain every older producer to it.
+                inst.rename_undo = None
             if flags & F_MEM:
                 self.lsq_count -= 1
             if flags & F_STORE:
@@ -415,7 +418,12 @@ class Core:
             inst.done = True
             if obs is not None:
                 obs.on_writeback(inst, self.cycle)
-            for c in inst.consumers:
+            consumers = inst.consumers
+            # Woken consumers are never needed again.  Each one references
+            # this producer (undo record, forwarded store), so keeping the
+            # list would tie them into a reference cycle.
+            inst.consumers = None
+            for c in consumers or ():
                 c.num_pending -= 1
                 if (c.num_pending == 0 and not c.issued and not c.squashed
                         and not c.in_ready):
@@ -446,6 +454,7 @@ class Core:
     def _undo(self, inst: DynInst) -> None:
         """Roll back one instruction's functional and rename effects."""
         inst.squashed = True
+        inst.consumers = None  # all younger: squashed with it
         self.stats.squashed += 1
         if self._obs is not None:
             self._obs.on_squash(inst, self.cycle)
@@ -461,6 +470,7 @@ class Core:
         if flags & F_WRITES_REG:
             self.sregs[self.image.rd[inst.pc]] = inst.sreg_old
             self.rename.restore_reg(inst.rename_undo)
+            inst.rename_undo = None
             if inst.reg_allocated:
                 self.freelist.release(1)
 
@@ -616,7 +626,10 @@ class Core:
                 if owner is not None and not owner.done \
                         and not owner.squashed:
                     num_pending += 1
-                    owner.consumers.append(inst)
+                    if owner.consumers is None:
+                        owner.consumers = [inst]
+                    else:
+                        owner.consumers.append(inst)
             if flags & F_MEM:
                 # Memory dependence: forward from the youngest older
                 # in-flight store to the same address (perfect
@@ -628,7 +641,10 @@ class Core:
                         inst.forward_store = s
                         if not s.done:
                             num_pending += 1
-                            s.consumers.append(inst)
+                            if s.consumers is None:
+                                s.consumers = [inst]
+                            else:
+                                s.consumers.append(inst)
                 else:
                     store_map.setdefault(inst.eff_addr, []).append(inst)
                 self.lsq_count += 1

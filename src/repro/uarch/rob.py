@@ -21,6 +21,13 @@ class DynInst:
     ``DynInst`` carries only its dynamic state.  ``__slots__`` keeps
     attribute access on the fast path — the core reads these fields many
     times per dynamic instruction, wrong paths included.
+
+    A consumer references its producer through its undo record or
+    ``forward_store``, so the producer's ``consumers`` list would close a
+    reference cycle.  The core therefore allocates that list on the
+    first consumer and drops it at writeback or squash, and drops
+    ``rename_undo`` at commit or undo: reference counting alone frees
+    every instruction (DESIGN.md §9.6).
     """
 
     __slots__ = (
@@ -55,7 +62,7 @@ class DynInst:
         self.pred_next_pc: int = instr.pc + 1
         self.bp_history: int = 0
         self.num_pending = 0
-        self.consumers: List["DynInst"] = []
+        self.consumers: Optional[List["DynInst"]] = None
         self.issued = False
         self.done = False
         self.done_cycle = -1

@@ -164,24 +164,6 @@ class TestStridePredictor:
 
 
 class TestNRBQAndCRP:
-    def test_mask_accumulates_in_youngest_entry(self):
-        q = NRBQ()
-        q.on_branch_fetch(10, 20, seq=1)
-        q.on_instruction_fetch(3)
-        q.on_branch_fetch(30, 40, seq=2)
-        q.on_instruction_fetch(5)
-        assert q.entries[0].mask == 1 << 3
-        assert q.entries[1].mask == 1 << 5
-
-    def test_or_masks_from(self):
-        q = NRBQ()
-        q.on_branch_fetch(10, 20, seq=1)
-        q.on_instruction_fetch(3)
-        q.on_branch_fetch(30, 40, seq=2)
-        q.on_instruction_fetch(5)
-        assert q.or_masks_from(1) == (1 << 3) | (1 << 5)
-        assert q.or_masks_from(2) == 1 << 5
-
     def test_capacity_limit(self):
         q = NRBQ(capacity=2)
         assert q.on_branch_fetch(1, 2, seq=1)
