@@ -109,10 +109,7 @@ class ReplicaManager:
             return want
         # Replicas have the lowest priority (Section 2.4.1): leave headroom
         # in the free list so the conventional rename path keeps flowing.
-        budget = fl.free - self.cfg.ci_alloc_headroom
-        if budget <= 0:
-            return 0
-        return fl.alloc_up_to(min(want, budget))
+        return fl.alloc_up_to(want, self.cfg.ci_alloc_headroom)
 
     def _conflict_blacklist(self) -> int:
         """Store-conflict tolerance before a load stops re-vectorizing.
@@ -513,10 +510,8 @@ class ReplicaManager:
         # enough registers free up; under real shortage that means waiting
         # for the machine to drain — the thrashing behaviour that makes the
         # full vectorization scheme collapse on small register files.
-        fl = self.core.freelist
-        threshold = min(fl.capacity - 4,
-                        self.cfg.replicas * self._vect_factor + 16)
-        if fl.free >= threshold:
+        if self.core.freelist.free_at_least(
+                self.cfg.replicas * self._vect_factor + 16):
             self._vect_wait = False
             return True
         if not self.core.window:

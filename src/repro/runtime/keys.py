@@ -12,7 +12,8 @@ the serve layer's coalescing index and a JSON-round-tripped
   executes the *predecoded* program, so predecode-layer changes
   invalidate cached results even when the instruction stream does not);
 * :func:`config_token` — the canonical string form of a
-  :class:`~repro.uarch.ProcessorConfig`;
+  :class:`~repro.uarch.ProcessorConfig` (and, without ``phys_regs``,
+  the register-file sweep group of :func:`regs_group`);
 * :func:`job_key` — the schema-versioned cache key of one
   (program, config, scale, seed) simulation;
 * :func:`run_key` — :func:`job_key` for a :class:`RunSpec`, folding in
@@ -36,7 +37,6 @@ exactly once.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import threading
@@ -58,16 +58,31 @@ CACHE_SCHEMA = 2
 CHECKPOINT_SCHEMA = 1
 
 
-def config_token(cfg: "ProcessorConfig") -> str:
+#: the ``CacheConfig`` levels nested in a ``ProcessorConfig``
+_CACHE_LEVELS = frozenset(("l1d", "l2", "l3"))
+
+
+def config_token(cfg: "ProcessorConfig", omit: Tuple[str, ...] = ()) -> str:
     """Canonical string form of a configuration (every field, sorted).
 
     Built shallowly from the instance dicts, which hold exactly the
     fields of these frozen dataclasses: ``dataclasses.asdict`` deep-copies
     every value, and the only nested values are the ``CacheConfig``
-    levels."""
-    values = {name: vars(value) if dataclasses.is_dataclass(value)
-              else value for name, value in vars(cfg).items()}
+    levels.  ``omit`` leaves fields out (:func:`regs_group`)."""
+    values = {name: vars(value) if name in _CACHE_LEVELS else value
+              for name, value in vars(cfg).items() if name not in omit}
     return json.dumps(values, sort_keys=True, default=str)
+
+
+def regs_group(spec: "RunSpec") -> Tuple[tuple, int]:
+    """``(group, phys_regs)`` for register-file derivation.
+
+    Runs in one group differ only in ``phys_regs``: same program point,
+    same resolved config otherwise (DESIGN §9.7).
+    """
+    cfg = spec.resolved_cfg()
+    return ((spec.kernel, spec.scale, spec.seed,
+             config_token(cfg, omit=("phys_regs",))), cfg.phys_regs)
 
 
 def program_fingerprint(program: "Program") -> str:

@@ -30,7 +30,9 @@ so sweeps complete with explicit holes instead of aborting.
 Results are shared at three levels: an in-process memo (same object
 returned for repeat queries, which downstream code relies on), the
 persistent on-disk :class:`~repro.runtime.cache.ResultCache`, and the
-pool itself (duplicate jobs within one batch are submitted once).
+pool itself (duplicate jobs within one batch are submitted once).  A
+register-file sweep point is also answered without simulating when a
+larger sibling's free list provably never bound (DESIGN §9.7).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..uarch import ProcessorConfig, SimStats
 from .cache import ResultCache
-from .keys import cached_program, run_key
+from .keys import cached_program, regs_group, run_key
 from .spec import RunSpec
 
 #: One simulation work item IS a :class:`~repro.runtime.spec.RunSpec` —
@@ -490,6 +492,13 @@ def _env_truthy(name: str) -> bool:
     return os.environ.get(name, "").lower() in ("1", "on", "yes", "true")
 
 
+def _derivable(spec: RunSpec) -> bool:
+    """May this run take part in register-file derivation?  Observed,
+    faulted and sampled runs are always simulated."""
+    return spec.observe is None and spec.faults is None \
+        and spec.sampling is None
+
+
 def _is_interval_token(text: Optional[str]) -> bool:
     """Does a sampling string name one interval job? (lazy import)"""
     if not text:
@@ -502,10 +511,12 @@ class ParallelRunner:
     """Memoising simulation runner with a worker pool and a disk cache.
 
     The resolution order for one (kernel, config) point is: in-process
-    memo, then the persistent disk cache, then simulation (fanned out
-    over the pool when a batch has more than one miss and ``jobs > 1``).
-    ``memo_hits`` / ``disk_hits`` / ``sims_run`` count those outcomes so
-    callers can report "zero new simulations" on a warm cache.
+    memo, then the persistent disk cache, then derivation from a larger
+    register file that provably never bound (DESIGN §9.7), then
+    simulation (fanned out over the pool when a batch has more than one
+    miss and ``jobs > 1``).  ``memo_hits`` / ``disk_hits`` / ``derived``
+    / ``sims_run`` count those outcomes so callers can report "zero new
+    simulations" on a warm cache.
 
     ``keep_going`` (or ``REPRO_KEEP_GOING=1``) turns job failures into
     :class:`FailedResult` placeholders collected in ``self.failures``;
@@ -545,14 +556,21 @@ class ParallelRunner:
         #: FailedResult placeholders collected under ``keep_going``
         self.failures: List[FailedResult] = []
         #: where each resolved run last came from: ``memo`` / ``disk`` /
-        #: ``sim`` / ``failed``.  Each run is recorded under every name
-        #: it answers to — the ``(kernel, cfg)`` point, the spec itself
-        #: and (when derivable) the canonical cache key — so local
-        #: callers and the serving layer share one attribution table.
+        #: ``derived`` / ``sim`` / ``failed``.  Each run is recorded
+        #: under every name it answers to — the ``(kernel, cfg)`` point,
+        #: the spec itself and (when derivable) the canonical cache key —
+        #: so local callers and the serving layer share one attribution
+        #: table.
         self.sources: Dict[object, str] = {}
         self._memo: Dict[str, SimStats] = {}
+        #: register-file derivation (DESIGN §9.7): resolved plain runs by
+        #: sweep group, then by ``phys_regs``; ``_unindexed`` holds the
+        #: runs not yet grouped
+        self._regs_index: Dict[tuple, Dict[int, SimStats]] = {}
+        self._unindexed: List[Tuple[RunSpec, SimStats]] = []
         self.memo_hits = 0
         self.disk_hits = 0
+        self.derived = 0
         self.sims_run = 0
         #: pool rebuilds attributable to this runner's batches (the
         #: process-wide tally is :func:`pool_restart_count`)
@@ -662,6 +680,7 @@ class ParallelRunner:
                     self.disk_hits += 1
                     self._note_source(ident, point, spec, "disk")
                     self._memo[key] = resolved[ident] = st
+                    self._index(spec, st)
                     continue
             if spec.sampling and not _is_interval_token(spec.sampling):
                 # A parent sampled spec: expanded into interval jobs by
@@ -687,32 +706,118 @@ class ParallelRunner:
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
         if pending:
-            sim_jobs = [spec for _, _, spec in pending]
+            self._simulate(pending, resolved)
+        # Persist the hit/miss tallies this batch accumulated (a no-op
+        # when nothing changed or the cache is disabled).
+        self.cache.flush_counters()
+        return [resolved[ident] for ident in order]
+
+    def _simulate(self, pending: List[Tuple[object, object, RunSpec]],
+                  resolved: Dict[object, SimStats]) -> None:
+        """Simulate ``pending`` in waves, answering each register-file
+        sweep point that a resolved sibling's ``regs_slack`` covers
+        instead of simulating it (DESIGN §9.7).
+
+        The first wave holds every run that can never be derived; each
+        wave adds the largest register file left in each sweep group, so
+        every simulation is a candidate source for its smaller siblings.
+        Failures are collected across waves: under ``keep_going`` they
+        become placeholders, otherwise one :class:`WorkerError` names
+        them all once every wave has run.
+        """
+        groups: Dict[tuple, List[Tuple[int, Tuple[object, object,
+                                                   RunSpec]]]] = {}
+        wave: List[Tuple[object, object, RunSpec]] = []
+        for item in pending:
+            ident, _, spec = item
+            if isinstance(ident, str) and _derivable(spec):
+                group, regs = regs_group(spec)
+                groups.setdefault(group, []).append((regs, item))
+            else:
+                wave.append(item)
+        for members in groups.values():
+            members.sort(key=lambda m: m[0])
+        failures: List[FailedResult] = []
+        while True:
+            if groups:
+                self._flush_index()
+            for group, members in groups.items():
+                siblings = self._regs_index.get(group)
+                if siblings:
+                    members[:] = [(regs, item) for regs, item in members
+                                  if not self._derive(siblings, regs, item,
+                                                      resolved)]
+                if members:
+                    wave.append(members.pop()[1])
+            if not wave:
+                break
+            sim_jobs = [spec for _, _, spec in wave]
             restarts_before = pool_restart_count()
             results = execute_jobs_observed(
                 sim_jobs, self.jobs, timeout=self.timeout,
-                retries=self.retries, keep_going=self.keep_going)
+                retries=self.retries, keep_going=True)
             self.sims_run += len(sim_jobs)
             self.pool_restarts += pool_restart_count() - restarts_before
-            for (ident, point, spec), (st, payload) in zip(pending,
-                                                           results):
+            for (ident, point, spec), (st, payload) in zip(wave, results):
                 if isinstance(st, FailedResult):
-                    # A hole, not a result: report it, never cache it.
-                    self.failures.append(st)
-                    self._note_source(ident, point, spec, "failed")
-                    resolved[ident] = st
+                    # A hole, not a result: report it, never cache it,
+                    # never derive from it.
+                    failures.append(st)
+                    if self.keep_going:
+                        self.failures.append(st)
+                        self._note_source(ident, point, spec, "failed")
+                        resolved[ident] = st
                     continue
                 resolved[ident] = st
                 self._note_source(ident, point, spec, "sim")
                 if isinstance(ident, str) and spec.faults is None:
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
+                    self._index(spec, st)
                 if payload is not None:
                     self.observations.append((spec.kernel, payload))
-        # Persist the hit/miss tallies this batch accumulated (a no-op
-        # when nothing changed or the cache is disabled).
-        self.cache.flush_counters()
-        return [resolved[ident] for ident in order]
+            wave = []
+        if failures and not self.keep_going:
+            raise WorkerError(aggregate_failure_report(failures))
+
+    def _derive(self, siblings: Dict[int, SimStats], regs: int,
+                item: Tuple[object, object, RunSpec],
+                resolved: Dict[object, SimStats]) -> bool:
+        """Answer ``item`` from a larger sibling whose slack covers it.
+
+        The answer is the sibling's stats with ``regs_slack`` reduced by
+        the size difference — exactly what simulating it would return.
+        It goes to the memo only: never to disk, never counted as a
+        simulation (a warm run re-derives it from the cached sibling).
+        """
+        for src_regs, src in siblings.items():
+            gap = src_regs - regs
+            if 0 < gap <= src.regs_slack:
+                break
+        else:
+            return False
+        ident, point, spec = item
+        st = replace(src, regs_slack=src.regs_slack - gap,
+                     interval_committed=list(src.interval_committed))
+        self.derived += 1
+        self._note_source(ident, point, spec, "derived")
+        self._memo[ident] = resolved[ident] = st
+        siblings[regs] = st
+        return True
+
+    def _index(self, spec: RunSpec, st: SimStats) -> None:
+        """Offer a resolved plain run as a source for smaller siblings."""
+        if _derivable(spec) and st.regs_slack > 0:
+            self._unindexed.append((spec, st))
+
+    def _flush_index(self) -> None:
+        """Group the runs :meth:`_index` collected (deferred until a
+        batch has sweep groups to derive, so other batches never
+        compute group keys)."""
+        for spec, st in self._unindexed:
+            group, regs = regs_group(spec)
+            self._regs_index.setdefault(group, {})[regs] = st
+        self._unindexed.clear()
 
     # -- observations ----------------------------------------------------
     def merged_observations(self) -> Dict[str, dict]:
@@ -734,7 +839,8 @@ class ParallelRunner:
         """One-line accounting of where results came from."""
         line = (f"runtime: {self.sims_run} simulation(s) run "
                 f"({self.jobs} worker(s)), {self.disk_hits} disk-cache "
-                f"hit(s), {self.memo_hits} memo hit(s)")
+                f"hit(s), {self.memo_hits} memo hit(s), {self.derived} "
+                f"derived")
         store = self._ckpt_store
         if store is not None:
             line += (f", sampling: {store.fast_forwards} fast-forward "

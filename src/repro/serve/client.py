@@ -43,6 +43,11 @@ POLL_INTERVAL = 0.1
 #: ride out a daemon restart, bounded enough to fail a dead one fast)
 RECONNECT_TRIES = 8
 
+#: first reconnect delay and the cap on its doubling, in seconds (read
+#: at each retry, so a test can shrink them)
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 4.0
+
 
 class ServeError(RuntimeError):
     """The daemon is unreachable or answered outside the protocol.
@@ -91,13 +96,10 @@ class ServeClient:
 
     def __init__(self, addr: str, timeout: float = 30.0,
                  reconnect_tries: int = RECONNECT_TRIES,
-                 backoff_base: float = 0.25, backoff_cap: float = 4.0,
                  on_event: Optional[Callable[[str], None]] = None):
         self.host, self.port = parse_address(addr)
         self.timeout = timeout
         self.reconnect_tries = max(0, reconnect_tries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.on_event = on_event
         self._rng = random.Random()
         #: chaos seam: when set, called as ``f(method, path)`` after the
@@ -166,8 +168,7 @@ class ServeClient:
                     return status, parsed
             if attempt >= self.reconnect_tries:
                 break
-            delay = min(self.backoff_cap,
-                        self.backoff_base * (2 ** attempt))
+            delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
             delay *= 0.5 + self._rng.random()   # jitter: 0.5x..1.5x
             self._event(f"connection to {self.base_url} failed ({last}); "
                         f"retrying in {delay:.1f}s "
@@ -368,7 +369,8 @@ class RemoteRunner(Runner):
         self.priority = priority
         self.client_name = client_name
         self.on_update = on_update
-        #: server-side source tallies (sim/disk/memo/coalesced/failed)
+        #: server-side source tallies
+        #: (sim/disk/memo/derived/coalesced/failed)
         self.server_sources: Dict[str, int] = {}
 
     def run_many(self, points: Sequence) -> List[SimStats]:
@@ -443,7 +445,7 @@ class RemoteRunner(Runner):
         served = sum(self.server_sources.values())
         parts = [f"runtime: {served} job(s) served by "
                  f"{self.client.base_url}"]
-        for source in ("sim", "disk", "memo", "coalesced"):
+        for source in ("sim", "disk", "memo", "derived", "coalesced"):
             n = self.server_sources.get(source, 0)
             if n:
                 parts.append(f"{n} {source}")

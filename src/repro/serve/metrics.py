@@ -92,7 +92,8 @@ class ServerMetrics:
         counts / replay tallies, pool-supervisor state machine)."""
         p50, p95 = self.latency_quantiles()
         cache_hits = (executor_totals["disk_hits"]
-                      + executor_totals["memo_hits"])
+                      + executor_totals["memo_hits"]
+                      + executor_totals.get("derived", 0))
         out: Dict[str, object] = {
             "status": state,
             "uptime_seconds": round(self.uptime, 3),
@@ -183,6 +184,8 @@ class ServerMetrics:
                executor_totals["disk_hits"], '{layer="disk"}')
         lines.append(f'repro_cache_hits_total{{layer="memo"}} '
                      f'{executor_totals["memo_hits"]}')
+        lines.append(f'repro_cache_hits_total{{layer="derived"}} '
+                     f'{executor_totals.get("derived", 0)}')
         metric("worker_restarts_total", "counter",
                "Worker-pool rebuilds after transient failures.",
                pool_restart_count())

@@ -218,7 +218,7 @@ class SimExecutor:
         self._runners: Dict[Tuple[float, int], ParallelRunner] = {}
         #: tallies carried over from runners discarded by restart_pool
         self._retired = {"sims_run": 0, "disk_hits": 0, "memo_hits": 0,
-                         "pool_restarts": 0}
+                         "derived": 0, "pool_restarts": 0}
 
     # -- runners ---------------------------------------------------------
     def runner_for(self, scale: float, seed: int) -> ParallelRunner:
@@ -251,7 +251,7 @@ class SimExecutor:
     # -- execution -------------------------------------------------------
     def execute(self, entries: List[Entry]) -> Dict[str, Tuple[object, str]]:
         """Run a batch; returns ``{entry key: (stats-or-FailedResult,
-        source)}`` where source is memo/disk/sim/failed.
+        source)}`` where source is memo/disk/derived/sim/failed.
 
         Runs on the dispatch worker thread.  Entries are grouped per
         (scale, seed) runner; within a group the runner handles pool
@@ -286,6 +286,7 @@ class SimExecutor:
             self._retired["sims_run"] += runner.sims_run
             self._retired["disk_hits"] += runner.disk_hits
             self._retired["memo_hits"] += runner.memo_hits
+            self._retired["derived"] += runner.derived
             self._retired["pool_restarts"] += runner.pool_restarts
         self._runners.clear()
 
@@ -296,6 +297,7 @@ class SimExecutor:
             t["sims_run"] += runner.sims_run
             t["disk_hits"] += runner.disk_hits
             t["memo_hits"] += runner.memo_hits
+            t["derived"] += runner.derived
             t["pool_restarts"] += runner.pool_restarts
         return t
 

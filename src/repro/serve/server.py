@@ -537,7 +537,8 @@ async def _amain(**opts) -> int:
     totals = server.executor.totals()
     print(f"repro serve: drained — {totals['sims_run']} simulation(s) "
           f"run, {totals['disk_hits']} disk hit(s), "
-          f"{totals['memo_hits']} memo hit(s), "
+          f"{totals['memo_hits']} memo hit(s), {totals['derived']} "
+          f"derived, "
           f"{server.metrics.counters['jobs_coalesced']} coalesced",
           file=sys.stderr, flush=True)
     return 0

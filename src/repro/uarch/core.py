@@ -331,6 +331,7 @@ class Core:
         self.stats.stridedpc_assignments = self.rename.assign_count
         self.stats.stridedpc_sum = self.rename.assign_sum
         self.stats.stridedpc_overflow = self.rename.overflow_count
+        self.stats.regs_slack = self.freelist.slack
         if obs is not None:
             obs.finalize(self.stats)
         return self.stats

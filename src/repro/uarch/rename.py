@@ -73,11 +73,19 @@ class FreeList:
     ``capacity`` is the number of registers available for renaming beyond
     the 64 architectural ones.  The control-independence mechanism's
     replicas draw from the same pool in monolithic mode (Section 2.4.2).
+
+    ``slack`` is the proof behind register-file derivation (DESIGN
+    §9.7): every allocation decision so far had at least ``slack``
+    registers to spare, so a file up to ``slack`` registers smaller
+    would have decided each one the same way, with ``free`` lower by a
+    constant.  Every read of ``free`` that steers the machine goes
+    through a method below, each recording its margin.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.free = capacity
+        self.slack = capacity
 
     @property
     def in_use(self) -> int:
@@ -85,16 +93,39 @@ class FreeList:
 
     def alloc(self, n: int = 1) -> bool:
         """Try to allocate ``n`` registers; all-or-nothing."""
-        if self.free < n:
-            return False
-        self.free -= n
+        free = self.free - n
+        if free < 0:
+            return False  # a smaller file refuses too: no margin
+        self.free = free
+        if free < self.slack:
+            self.slack = free
         return True
 
-    def alloc_up_to(self, n: int) -> int:
-        """Allocate as many as possible, up to ``n``; returns the count."""
-        got = min(self.free, n)
-        self.free -= got
-        return got
+    def alloc_up_to(self, n: int, headroom: int = 0) -> int:
+        """Allocate as many as possible, up to ``n``, while leaving
+        ``headroom`` registers free; returns the count."""
+        avail = self.free - max(0, headroom)
+        if avail <= 0:
+            return 0
+        if avail < n:
+            n = avail
+            self.slack = 0  # cut short: any smaller file grants less
+        elif avail - n < self.slack:
+            self.slack = avail - n
+        self.free -= n
+        return n
+
+    def free_at_least(self, need: int) -> bool:
+        """Are ``min(need, capacity - 4)`` registers free?  (The stalled
+        vector instruction's resume test.)"""
+        free = self.free
+        if free >= need:
+            if free - need < self.slack:
+                self.slack = free - need
+            return True
+        # Open only within 4 of full, which a smaller file reaches at
+        # the same point: no margin.
+        return free >= self.capacity - 4
 
     def release(self, n: int = 1) -> None:
         self.free += n

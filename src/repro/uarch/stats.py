@@ -88,6 +88,13 @@ class SimStats:
     #: disabled produce the same ``cycles`` with ``skipped_cycles == 0``
     skipped_cycles: int = 0
 
+    #: registers the free list never needed: a register file up to this
+    #: many smaller makes every decision of this run the same way, so
+    #: the runner answers it from these stats (DESIGN §9.7).  0 means
+    #: no proof.  Like ``skipped_cycles`` it is simulator bookkeeping,
+    #: kept out of ``as_dict``
+    regs_slack: int = 0
+
     #: provenance: True when these stats are a sampled *estimate*
     #: stitched from detailed intervals (repro.sampling.estimate), never
     #: for an exact run.  ``sample_intervals`` is the interval count and
@@ -159,7 +166,8 @@ class SimStats:
         exact-run reporting payloads (and the goldens pinning them) are
         unchanged by the sampling subsystem's existence.
         """
-        skip = {"interval_committed", "interval_cycles", "skipped_cycles"}
+        skip = {"interval_committed", "interval_cycles", "skipped_cycles",
+                "regs_slack"}
         if not self.sampled:
             skip |= {"sampled", "sample_intervals", "sample_rel_ci"}
         d = {k: v for k, v in self.__dict__.items() if k not in skip}

@@ -1,7 +1,17 @@
 """Tests for the command-line interface."""
 
+import pytest
+
 from repro.cli import build_parser, main, make_config
 from repro.uarch.config import INF_REGS
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Millisecond reconnect delays: every attempt still runs."""
+    from repro.serve import client
+    monkeypatch.setattr(client, "BACKOFF_BASE", 0.001)
+    monkeypatch.setattr(client, "BACKOFF_CAP", 0.004)
 
 
 def run_cli(capsys, *argv):
@@ -222,12 +232,12 @@ class TestServeCli:
                         "--server", "127.0.0.1:1")
         assert rc == 2
 
-    def test_submit_unreachable_server_exits_2(self, capsys):
+    def test_submit_unreachable_server_exits_2(self, capsys, fast_backoff):
         rc, _ = run_cli(capsys, "submit", "gzip",
                         "--server", "127.0.0.1:1")
         assert rc == 2
 
-    def test_suite_unreachable_server_exits_2(self, capsys):
+    def test_suite_unreachable_server_exits_2(self, capsys, fast_backoff):
         rc, _ = run_cli(capsys, "suite", "--server", "127.0.0.1:1",
                         "--scale", "0.1")
         assert rc == 2

@@ -488,10 +488,16 @@ class TestRemoteRunner:
 
         assert _drive(_serve_fixture(tmp_path), drive)
 
-    def test_unreachable_server_is_a_serve_error(self):
+    def test_unreachable_server_is_a_serve_error(self, monkeypatch):
+        # Millisecond delays; every reconnect attempt still runs.
+        from repro.serve import client
+        monkeypatch.setattr(client, "BACKOFF_BASE", 0.001)
+        monkeypatch.setattr(client, "BACKOFF_CAP", 0.004)
         runner = RemoteRunner("127.0.0.1:1", scale=SCALE, seed=SEED)
-        with pytest.raises(ServeError, match="cannot reach"):
+        with pytest.raises(ServeError, match="cannot reach") as exc_info:
             runner.run("gzip", ProcessorConfig())
+        assert f"after {client.RECONNECT_TRIES + 1} attempt(s)" \
+            in str(exc_info.value)
 
 
 # -- crash safety -----------------------------------------------------------
