@@ -15,10 +15,10 @@ from typing import Optional
 
 from . import isa, observe, trace, uarch, workloads
 from . import runtime
-from .ci import CIEngine, MechanismPipeline, PolicySpec
+from .ci import MechanismPipeline, PolicySpec
 from .isa import Program, assemble
 from .observe import Observer
-from .uarch import Core, Hooks, MechanismHooks, ProcessorConfig, SimStats, simulate
+from .uarch import Core, MechanismHooks, ProcessorConfig, SimStats, simulate
 from .uarch import config as configs
 from .workloads import build_program, build_suite, kernel_names
 
@@ -85,9 +85,7 @@ def run_kernel(name: str, cfg: Optional[ProcessorConfig] = None,
 
 
 __all__ = [
-    "CIEngine",
     "Core",
-    "Hooks",
     "MechanismHooks",
     "MechanismPipeline",
     "PolicySpec",

@@ -140,11 +140,9 @@ def _make_runner(args: argparse.Namespace, scale=None, seed=None):
     """The sweep runner: local pool, or a thin client of ``--server``."""
     sampling = getattr(args, "sample", None)
     if getattr(args, "server", None):
-        import os
         from .serve.client import RemoteRunner
         return RemoteRunner(args.server, scale=scale, seed=seed,
                             keep_going=args.keep_going,
-                            client_name=f"cli-{os.getpid()}",
                             on_event=lambda m: print(
                                 f"repro: {m}", file=sys.stderr),
                             sampling=sampling)
@@ -489,7 +487,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     def on_event(message):
         print(f"  ! {message}", file=sys.stderr)
 
-    import os
     from .runtime import RunSpec
     from .serve.client import ServeClient, ServeError
     try:
@@ -501,9 +498,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     except ServeError:
         pass   # run() below reports unreachability with full context
-    client_name = args.client or f"submit-{os.getpid()}"
     runner = RemoteRunner(args.server, scale=args.scale, seed=args.seed,
-                          priority=args.priority, client_name=client_name,
                           keep_going=True, on_update=on_update,
                           on_event=on_event)
     stats = dict(zip(kernels, runner.run_many(
@@ -772,11 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     psm.add_argument("--server", default=f"127.0.0.1:{DEFAULT_PORT}",
                      metavar="ADDR", help="daemon address host[:port] "
                      f"(default: 127.0.0.1:{DEFAULT_PORT})")
-    psm.add_argument("--priority", choices=("interactive", "sweep"),
-                     default="interactive",
-                     help="admission class (default: interactive)")
-    psm.add_argument("--client", default=None, metavar="NAME",
-                     help="fairness-lane name (default: submit-<pid>)")
     psm.add_argument("--quiet", "-q", action="store_true",
                      help="suppress the per-job status stream on stderr")
     psm.set_defaults(fn=cmd_submit)

@@ -478,7 +478,8 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
     from .. import run_program
     from ..serve.client import ServeClient
     from ..serve.journal import replay_journal
-    from ..serve.protocol import DONE, JobSpec
+    from ..runtime import RunSpec
+    from ..serve.protocol import DONE
     from ..uarch import ci
     from ..workloads import build_program, kernel_names
 
@@ -500,9 +501,7 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
     report = ChaosReport(plan_spec=plan.to_spec() or "(empty)",
                          seed=plan.seed, kernels=names)
 
-    specs = [JobSpec(kernel=name, scale=scale, seed=data_seed, cfg=cfg,
-                     priority="sweep", client="chaos")
-             for name in names]
+    specs = [RunSpec(name, scale, data_seed, cfg) for name in names]
     pending = plan.resolve(len(specs))
     cursor = {"next": 0}
     drop_armed = {"n": 0}

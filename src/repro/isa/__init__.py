@@ -5,7 +5,6 @@ from .instructions import NUM_LOGICAL_REGS, Instruction, make_nop
 from .interp import (
     InterpError,
     InterpResult,
-    InterpreterError,
     StepLimitExceeded,
     run,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Instruction",
     "InterpError",
     "InterpResult",
-    "InterpreterError",
     "StepLimitExceeded",
     "MASK64",
     "NUM_LOGICAL_REGS",

@@ -36,10 +36,6 @@ class InterpError(RuntimeError):
     """
 
 
-#: historical name, kept as an alias for existing callers/tests
-InterpreterError = InterpError
-
-
 class StepLimitExceeded(InterpError):
     """``run`` consumed ``max_steps`` without reaching HALT.
 

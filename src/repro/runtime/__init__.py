@@ -39,7 +39,6 @@ from .parallel import (
     TRANSIENT_PHASES,
     FailedResult,
     ParallelRunner,
-    SimJob,
     WorkerError,
     aggregate_failure_report,
     default_jobs,
@@ -60,7 +59,6 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "SPEC_FIELDS",
-    "SimJob",
     "TRANSIENT_PHASES",
     "WorkerError",
     "aggregate_failure_report",

@@ -203,9 +203,8 @@ def run_key(spec: "RunSpec") -> str:
     sampling spec folds in the same way, so sampled *estimates* never
     collide with exact results (and each interval job has its own key).
 
-    Transport and observation fields (serve priority/client, observer
-    specs) are deliberately excluded: they change how a run is executed
-    or watched, never its stats.
+    The observer spec is deliberately excluded: it changes how a run is
+    watched, never its stats.
     """
     ident = (spec.kernel, spec.scale, spec.seed, spec.cfg, spec.policy,
              spec.faults, spec.sampling)

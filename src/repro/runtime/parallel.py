@@ -44,7 +44,6 @@ import signal
 import sys
 import time
 import traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -53,14 +52,6 @@ from ..uarch import ProcessorConfig, SimStats
 from .cache import ResultCache
 from .keys import cached_program, regs_group, run_key
 from .spec import RunSpec
-
-#: One simulation work item IS a :class:`~repro.runtime.spec.RunSpec` —
-#: the pool executes the canonical run vocabulary directly (a frozen
-#: dataclass of plain strings/numbers/config, so it stays picklable
-#: under any start method; workers re-resolve policy and observer names
-#: against their own registries).  The alias preserves the historical
-#: name used throughout tests and call sites.
-SimJob = RunSpec
 
 
 class WorkerError(RuntimeError):
@@ -195,8 +186,8 @@ def default_retries() -> int:
     return 1
 
 
-def _run_job(job: SimJob) -> Tuple[Optional[dict], Optional[dict],
-                                   Optional[str]]:
+def _run_job(job: RunSpec) -> Tuple[Optional[dict], Optional[dict],
+                                    Optional[str]]:
     """Worker entry point: returns (stats dict, observer payload, error).
 
     Module-level so it pickles under both fork and spawn start methods;
@@ -243,9 +234,9 @@ def _worker_init() -> None:
             pass
 
 
-def _run_batch(batch: Sequence[SimJob]) -> List[Tuple[Optional[dict],
-                                                      Optional[dict],
-                                                      Optional[str]]]:
+def _run_batch(batch: Sequence[RunSpec]) -> List[Tuple[Optional[dict],
+                                                       Optional[dict],
+                                                       Optional[str]]]:
     """Worker entry point for a per-program batch of jobs.
 
     The scheduler groups jobs by (kernel, scale, seed) so one submission
@@ -257,7 +248,7 @@ def _run_batch(batch: Sequence[SimJob]) -> List[Tuple[Optional[dict],
     return [_run_job(job) for job in batch]
 
 
-def _batch_chunks(jobs: Sequence[SimJob],
+def _batch_chunks(jobs: Sequence[RunSpec],
                   indexes: Sequence[int], n_workers: int) -> List[List[int]]:
     """Partition job indexes into per-program submission chunks.
 
@@ -294,7 +285,7 @@ def _pool_context():
 _Slot = Union[Tuple[Optional[dict], Optional[dict]], "_Failure", None]
 
 
-def _run_serial(jobs: Sequence[SimJob], indexes: Sequence[int],
+def _run_serial(jobs: Sequence[RunSpec], indexes: Sequence[int],
                 results: List[_Slot]) -> None:
     for i in indexes:
         stats, payload, err = _run_job(jobs[i])
@@ -311,7 +302,7 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def _run_pool_pass(jobs: Sequence[SimJob], indexes: Sequence[int],
+def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                    results: List[_Slot], n_workers: int,
                    timeout: Optional[float]) -> List[int]:
     """One pool attempt over ``jobs[indexes]``; returns transient failures.
@@ -390,7 +381,7 @@ def _run_pool_pass(jobs: Sequence[SimJob], indexes: Sequence[int],
 
 
 def execute_jobs_observed(
-        jobs: Sequence[SimJob], n_workers: Optional[int] = None, *,
+        jobs: Sequence[RunSpec], n_workers: Optional[int] = None, *,
         timeout: Optional[float] = None, retries: Optional[int] = None,
         keep_going: bool = False,
 ) -> List[Tuple[Union[SimStats, FailedResult], Optional[dict]]]:
@@ -482,7 +473,7 @@ def aggregate_failure_report(failures: Sequence[FailedResult]) -> str:
     return "\n".join(lines)
 
 
-def execute_jobs(jobs: Sequence[SimJob],
+def execute_jobs(jobs: Sequence[RunSpec],
                  n_workers: Optional[int] = None) -> List[SimStats]:
     """Like :func:`execute_jobs_observed` but stats-only (raise on fail)."""
     return [st for st, _ in execute_jobs_observed(jobs, n_workers)]
@@ -586,23 +577,9 @@ class ParallelRunner:
         """
         return cached_program(name, self.scale, self.seed)
 
-    def _as_spec(self, point) -> RunSpec:
-        """Coerce one work item to a :class:`RunSpec`.
-
-        Accepts a spec directly, or the historical ``(kernel, cfg)``
-        tuple (deprecated — lifted to a spec at this runner's scale and
-        seed).  The runner-level ``observe`` default applies to specs
-        that do not carry their own.
-        """
-        if isinstance(point, RunSpec):
-            spec = point
-        else:
-            name, cfg = point
-            warnings.warn(
-                "passing (kernel, cfg) tuples to Runner.run_many is "
-                "deprecated; pass RunSpec instances",
-                DeprecationWarning, stacklevel=3)
-            spec = RunSpec(name, self.scale, self.seed, cfg)
+    def _as_spec(self, spec: RunSpec) -> RunSpec:
+        """Apply the runner-level ``observe`` and ``sampling`` defaults
+        to a spec that does not carry its own."""
         if self.observe is not None and spec.observe is None:
             spec = replace(spec, observe=self.observe)
         if self.sampling is not None and spec.sampling is None \
@@ -640,17 +617,16 @@ class ParallelRunner:
     def run(self, name: str, cfg: ProcessorConfig) -> SimStats:
         return self.run_many([RunSpec(name, self.scale, self.seed, cfg)])[0]
 
-    def run_many(self, points: Sequence) -> List[SimStats]:
+    def run_many(self, points: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve a batch of runs, order-preserving.
 
-        Each point is a :class:`RunSpec` (or a deprecated
-        ``(kernel, cfg)`` tuple).  Resolution per run: in-process memo,
-        then disk cache, then simulation — both lookups keyed by the
-        canonical :func:`~repro.runtime.keys.run_key`, the same identity
-        the serve layer coalesces on.  Runs carrying an observer or a
-        fault plan skip cache *reads* (cached entries carry no events,
-        and perturbed results must come from a real perturbed run);
-        faulty results are additionally never written back.
+        Resolution per run: in-process memo, then disk cache, then
+        simulation — both lookups keyed by the canonical
+        :func:`~repro.runtime.keys.run_key`, the same identity the serve
+        layer coalesces on.  Runs carrying an observer or a fault plan
+        skip cache *reads* (cached entries carry no events, and
+        perturbed results must come from a real perturbed run); faulty
+        results are additionally never written back.
         """
         order: List[object] = []
         specs: Dict[object, Tuple[object, RunSpec]] = {}

@@ -8,30 +8,27 @@ paper's reuse idea at request granularity: identical in-flight requests
 cache key) exactly as the mechanism reuses a control-independent slice
 instead of re-executing it.
 
-Modules: ``protocol`` (versioned wire types), ``queue`` (priority +
-fairness + coalescing), ``scheduler`` (admission control + dispatch +
-pool supervision), ``journal`` (the crash-safety write-ahead log),
-``server`` (asyncio front end), ``client`` (resilient wire client +
-thin-client runner), ``metrics`` (Prometheus / healthz).
+Modules: ``protocol`` (versioned wire types), ``queue`` (arrival-order
+FIFO + coalescing), ``scheduler`` (dispatch + pool supervision),
+``journal`` (the crash-safety write-ahead log), ``server`` (asyncio
+front end and its bounded-depth admission check), ``client`` (resilient
+wire client + thin-client runner), ``metrics`` (Prometheus / healthz).
 """
 
 from .client import RemoteRunner, ServeClient, ServeError, parse_address
 from .journal import JobJournal, JournalReplay, replay_journal
 from .metrics import ServerMetrics
-from .protocol import (DEFAULT_PORT, PROTOCOL_VERSION, ErrorInfo, JobSpec,
-                       JobStatus, ProtocolError)
+from .protocol import (DEFAULT_PORT, PROTOCOL_VERSION, ErrorInfo, JobStatus,
+                       ProtocolError)
 from .queue import ServeQueue
-from .scheduler import (AdmissionController, Dispatcher, PoolSupervisor,
-                        SimExecutor)
+from .scheduler import Dispatcher, PoolSupervisor, SimExecutor
 from .server import ServeServer, serve_main
 
 __all__ = [
-    "AdmissionController",
     "DEFAULT_PORT",
     "Dispatcher",
     "ErrorInfo",
     "JobJournal",
-    "JobSpec",
     "JobStatus",
     "JournalReplay",
     "PROTOCOL_VERSION",

@@ -23,14 +23,13 @@ import http.client
 import json
 import random
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.common import Runner
 from ..runtime import FailedResult, ResultCache, RunSpec
 from ..uarch import SimStats
 from . import protocol
-from .protocol import ErrorInfo, JobSpec, JobStatus
+from .protocol import ErrorInfo, JobStatus
 
 #: outcome of one spec: terminal status + stats payload (None on failure)
 Outcome = Tuple[JobStatus, Optional[dict]]
@@ -186,11 +185,11 @@ class ServeClient:
         return body
 
     # -- endpoints -------------------------------------------------------
-    def submit(self, specs: Sequence[JobSpec]) -> List[dict]:
+    def submit(self, specs: Sequence[RunSpec]) -> List[dict]:
         """Submit a batch; returns the per-job accept/reject decisions
         (``{"accepted", "id"?, "coalesced"?, "error"?}`` per spec)."""
         body = {"v": protocol.PROTOCOL_VERSION,
-                "jobs": [s.to_dict() for s in specs]}
+                "jobs": [protocol.wire_dict(s) for s in specs]}
         status, raw = self._request(
             "POST", f"{protocol.API_PREFIX}/submit", body)
         env = self._envelope(status, raw)
@@ -245,7 +244,7 @@ class ServeClient:
         return raw
 
     # -- convenience -----------------------------------------------------
-    def run(self, specs: Sequence[JobSpec],
+    def run(self, specs: Sequence[RunSpec],
             on_update: Optional[Callable[[str, JobStatus], None]] = None,
             poll: float = POLL_INTERVAL,
             backoff_tries: int = 60,
@@ -256,7 +255,7 @@ class ServeClient:
         Per-spec, order-preserving.  Rejections with a ``retry_after``
         hint (queue full, degraded executor) are resubmitted up to
         ``backoff_tries`` rounds; permanent refusals (bad request,
-        draining, shedding) become synthetic ``failed`` outcomes so
+        draining) become synthetic ``failed`` outcomes so
         sweeps degrade like ``--keep-going`` instead of aborting.
 
         Survives a server restart mid-sweep: when a poll answers
@@ -353,8 +352,6 @@ class RemoteRunner(Runner):
     def __init__(self, addr: str,
                  scale: Optional[float] = None,
                  seed: Optional[int] = None,
-                 priority: str = "sweep",
-                 client_name: str = "cli",
                  keep_going: bool = False,
                  on_update: Optional[Callable[[str, JobStatus],
                                               None]] = None,
@@ -366,67 +363,47 @@ class RemoteRunner(Runner):
                          cache=ResultCache(enabled=False),
                          keep_going=keep_going, sampling=sampling)
         self.client = ServeClient(addr, on_event=on_event)
-        self.priority = priority
-        self.client_name = client_name
         self.on_update = on_update
+        #: results by spec identity (the daemon owns the canonical keys)
+        self._spec_memo: Dict[RunSpec, SimStats] = {}
         #: server-side source tallies
         #: (sim/disk/memo/derived/coalesced/failed)
         self.server_sources: Dict[str, int] = {}
 
-    def run_many(self, points: Sequence) -> List[SimStats]:
+    def run_many(self, points: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve runs via the daemon, order-preserving.
 
-        Accepts :class:`~repro.runtime.RunSpec` instances (or the
-        deprecated ``(kernel, cfg)`` tuples).  Deduplication is by spec
-        identity, *not* the canonical cache key: a thin client never
-        builds programs locally — the daemon derives the shared key and
-        coalesces — so two spellings of one run cost at most one wire
-        round-trip each, never a local kernel build.
+        Deduplication is by spec identity, *not* the canonical cache
+        key: a thin client never builds programs locally — the daemon
+        derives the shared key and coalesces — so two spellings of one
+        run cost at most one wire round-trip each, never a local kernel
+        build.
         """
-        resolved: Dict[object, SimStats] = {}
-        order: List[object] = []
-        pending: List[object] = []
+        resolved: Dict[RunSpec, SimStats] = {}
+        order: List[RunSpec] = []
+        pending: List[RunSpec] = []
         for point in points:
             spec = self._as_spec(point)
-            memo_key = (spec.kernel, spec.cfg) \
-                if isinstance(point, tuple) else spec
-            order.append(memo_key)
-            if memo_key in resolved or memo_key in pending:
+            order.append(spec)
+            if spec in resolved or spec in pending:
                 continue
-            st = self._memo.get(memo_key)
+            st = self._spec_memo.get(spec)
             if st is not None:
                 self.memo_hits += 1
-                self.sources[memo_key] = "memo"
-                resolved[memo_key] = st
+                self.sources[spec] = "memo"
+                resolved[spec] = st
                 continue
-            pending.append(memo_key)
+            pending.append(spec)
         if pending:
-            sent: List[RunSpec] = []
-            for memo_key in pending:
-                if isinstance(memo_key, RunSpec):
-                    spec = memo_key
-                else:
-                    spec = RunSpec(memo_key[0], self.scale, self.seed,
-                                   memo_key[1])
-                    if self.sampling is not None:
-                        spec = replace(spec, sampling=self.sampling)
-                sent.append(spec)
-            specs = [JobSpec(kernel=s.kernel, scale=s.scale, seed=s.seed,
-                             cfg=s.cfg, policy=s.policy, faults=s.faults,
-                             sampling=s.sampling,
-                             priority=self.priority,
-                             client=self.client_name)
-                     for s in sent]
-            outcomes = self.client.run(specs, on_update=self.on_update)
-            for memo_key, spec, (status, stats) in zip(pending, sent,
-                                                       outcomes):
+            outcomes = self.client.run(pending, on_update=self.on_update)
+            for spec, (status, stats) in zip(pending, outcomes):
                 source = status.source or status.state
                 self.server_sources[source] = (
                     self.server_sources.get(source, 0) + 1)
                 if status.state == protocol.DONE and stats is not None:
                     st = SimStats.from_dict(stats)
-                    self._memo[memo_key] = resolved[memo_key] = st
-                    self.sources[memo_key] = source
+                    self._spec_memo[spec] = resolved[spec] = st
+                    self.sources[spec] = source
                     continue
                 err = status.error or ErrorInfo(
                     kind="failed", message=f"job ended {status.state} "
@@ -437,9 +414,9 @@ class RemoteRunner(Runner):
                     raise ServeError(f"remote job failed: "
                                      f"{failed.describe()}")
                 self.failures.append(failed)
-                self.sources[memo_key] = "failed"
-                resolved[memo_key] = failed
-        return [resolved[k] for k in order]
+                self.sources[spec] = "failed"
+                resolved[spec] = failed
+        return [resolved[spec] for spec in order]
 
     def runtime_summary(self) -> str:
         served = sum(self.server_sources.values())

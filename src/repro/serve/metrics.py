@@ -24,9 +24,8 @@ from ..runtime import pool_restart_count
 #: counters every server instance exposes (zero until first increment)
 COUNTER_NAMES = (
     "requests", "jobs_submitted", "jobs_coalesced", "jobs_completed",
-    "jobs_failed", "jobs_cancelled", "jobs_rejected", "jobs_shed",
-    "jobs_replayed", "jobs_rejected_degraded", "pool_restarts",
-    "circuit_trips",
+    "jobs_failed", "jobs_cancelled", "jobs_rejected", "jobs_replayed",
+    "jobs_rejected_degraded", "pool_restarts", "circuit_trips",
 )
 
 #: every state ``/healthz`` can report (exported as a one-hot gauge)
@@ -65,11 +64,6 @@ class ServerMetrics:
     @property
     def uptime(self) -> float:
         return time.monotonic() - self.started_at
-
-    def recent_latency(self) -> float:
-        """Mean of the most recent completions (backpressure hints)."""
-        recent = list(self._latencies)[-32:]
-        return sum(recent) / len(recent) if recent else 0.0
 
     def latency_quantiles(self) -> Tuple[float, float]:
         xs = sorted(self._latencies)
@@ -154,12 +148,11 @@ class ServerMetrics:
                 ("jobs_failed", "Submissions finished with a failure."),
                 ("jobs_cancelled", "Submissions cancelled (client/drain)."),
                 ("jobs_rejected", "Submissions refused by backpressure."),
-                ("jobs_shed", "Queued sweep jobs evicted for interactive "
-                              "work."),
                 ("jobs_replayed", "Incomplete jobs re-enqueued from the "
                                   "journal at startup."),
                 ("jobs_rejected_degraded",
-                 "Sweep submissions refused while degraded."),
+                 "Submissions refused while the circuit breaker was "
+                 "open."),
                 ("pool_restarts", "Supervised executor restarts after a "
                                   "dead batch."),
                 ("circuit_trips", "Times the executor circuit breaker "

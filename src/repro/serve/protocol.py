@@ -1,11 +1,12 @@
-"""Wire protocol for the simulation service (version 1).
+"""Wire protocol for the simulation service (version 2).
 
 The daemon speaks a minimal HTTP/1.1 + JSON dialect (stdlib only, one
 request per connection).  Endpoints, all rooted at ``/v1``:
 
 ========================  =====================================================
-``POST /v1/submit``       submit a batch of :class:`JobSpec`; per-job accept /
-                          reject decisions come back in one response
+``POST /v1/submit``       submit a batch of run specs (:func:`wire_dict`);
+                          per-job accept / reject decisions come back in one
+                          response
 ``GET  /v1/status?id=``   current :class:`JobStatus` of one submission
 ``GET  /v1/result?id=``   terminal result: ``SimStats`` payload or an
                           :class:`ErrorInfo` envelope
@@ -17,7 +18,7 @@ request per connection).  Endpoints, all rooted at ``/v1``:
 
 Every JSON body carries ``"v": PROTOCOL_VERSION`` and ``"ok"``; failures
 use one explicit error envelope (:class:`ErrorInfo`) whose ``kind``
-vocabulary covers both admission outcomes (``rejected``, ``shed``,
+vocabulary covers both admission outcomes (``rejected``, ``degraded``,
 ``draining``) and execution outcomes — the latter reusing the runtime
 failure classes from DESIGN.md §8 (a :class:`~repro.runtime.FailedResult`
 maps onto ``kind="failed"`` with its ``phase`` and ``attempts``
@@ -31,22 +32,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..runtime import FailedResult, RunSpec
-from ..uarch.config import config_from_dict
 
 #: bump on any incompatible wire change; requests carry it and the
 #: server rejects other versions explicitly instead of misparsing them
-PROTOCOL_VERSION = 1
+#: (v2 dropped v1's ``priority``/``client`` job fields)
+PROTOCOL_VERSION = 2
 
 #: URL prefix of the versioned API surface
 API_PREFIX = "/v1"
 
 #: default TCP port of ``repro serve``
 DEFAULT_PORT = 8731
-
-#: admission classes, highest priority first: interactive jobs are
-#: dispatched before sweep jobs and may shed queued sweep jobs when the
-#: queue is full
-PRIORITIES = ("interactive", "sweep")
 
 # -- job states -------------------------------------------------------------
 QUEUED = "queued"
@@ -60,7 +56,14 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
 class ProtocolError(ValueError):
-    """A request that cannot be interpreted (maps to HTTP 400)."""
+    """A request that cannot be interpreted (maps to HTTP 400).
+
+    ``kind`` is the :class:`ErrorInfo` kind the server answers with.
+    """
+
+    def __init__(self, message: str, kind: str = "bad-request"):
+        super().__init__(message)
+        self.kind = kind
 
 
 def _require(cond: bool, message: str) -> None:
@@ -68,86 +71,48 @@ def _require(cond: bool, message: str) -> None:
         raise ProtocolError(message)
 
 
-@dataclass(frozen=True)
-class JobSpec(RunSpec):
-    """One simulation request: a :class:`~repro.runtime.RunSpec` plus
-    transport fields.
+def wire_dict(spec: RunSpec) -> dict:
+    """One job as it crosses the wire: :meth:`RunSpec.to_dict` minus
+    ``observe`` (observer events would dwarf the stats payload)."""
+    out = spec.to_dict()
+    del out["observe"]
+    return out
 
-    The run vocabulary *is* the wire vocabulary — kernel, scale, seed,
-    config, policy, fault and sampling riders serialise exactly as
-    :meth:`RunSpec.to_dict` defines them, so the server's coalescing key
-    is literally ``spec.cache_key()``: the same content-addressed
-    identity the local pool memoises and the disk cache stores under.
-    ``priority`` and ``client`` are transport-only — they steer
-    admission and accounting and never enter the key.  Observer specs do
-    not cross the wire (events would dwarf the stats payload); a
-    non-null ``observe`` field is rejected at parse time.
+
+def parse_job(data: object) -> RunSpec:
+    """One wire job into a :class:`~repro.runtime.RunSpec`.
+
+    Strict like :meth:`RunSpec.from_dict` (an unknown field is an
+    error), plus the checks a server makes before admitting anything:
+    no observer, a registered policy, a well-formed fault plan, a
+    parseable sampling spec or interval token, and no sampling together
+    with faults.  The kernel is *not* looked up here: an unknown kernel
+    fails its own job (``bad-request``) when the server derives the key,
+    never the whole submission.
     """
-
-    priority: str = "sweep"
-    client: str = "anon"
-
-    def to_dict(self) -> dict:
-        out = RunSpec.to_dict(self)
-        del out["observe"]   # never crosses the wire
-        out["priority"] = self.priority
-        out["client"] = self.client
-        return out
-
-    @classmethod
-    def from_dict(cls, data: object) -> "JobSpec":
-        _require(isinstance(data, dict), "job spec must be an object")
-        assert isinstance(data, dict)
-        kernel = data.get("kernel")
-        _require(isinstance(kernel, str) and bool(kernel),
-                 "job spec needs a 'kernel' name")
-        priority = data.get("priority", "sweep")
-        _require(priority in PRIORITIES,
-                 f"priority must be one of {PRIORITIES}, got {priority!r}")
-        try:
-            scale = float(data.get("scale", 0.5))
-            seed = int(data.get("seed", 1))
-        except (TypeError, ValueError):
-            raise ProtocolError("scale/seed must be numeric") from None
-        policy = data.get("policy")
-        _require(policy is None or isinstance(policy, str),
-                 "policy must be a registry name or null")
-        faults = data.get("faults")
-        _require(faults is None or isinstance(faults, str),
-                 "faults must be a fault-plan spec string or null")
-        _require(data.get("observe") is None,
-                 "observers are not supported over the wire")
-        sampling = data.get("sampling")
-        _require(sampling is None or isinstance(sampling, str),
-                 "sampling must be a sampling spec string or null")
-        if sampling is not None:
-            _require(faults is None,
-                     "sampling does not compose with fault injection")
-            from ..sampling.plan import SamplingError, SamplingSpec, \
-                is_interval_token, parse_interval
-            try:
-                if is_interval_token(sampling):
-                    parse_interval(sampling)   # a pre-planned interval job
-                else:
-                    SamplingSpec.parse(sampling)
-            except SamplingError as exc:
-                raise ProtocolError(str(exc)) from None
-        client = data.get("client", "anon")
-        _require(isinstance(client, str) and bool(client),
-                 "client must be a non-empty string")
-        try:
-            cfg = config_from_dict(data.get("cfg") or {})
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        spec = cls(kernel=kernel, scale=scale, seed=seed, cfg=cfg,
-                   policy=policy, faults=faults, sampling=sampling,
-                   priority=priority, client=client)
-        try:
-            spec.resolved_cfg()   # unknown policy fails here, with hints
-            spec.fault_plan()     # malformed fault plan fails here
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        return spec
+    if not isinstance(data, dict):
+        raise ProtocolError("job spec must be an object")
+    try:
+        spec = RunSpec.from_dict(data)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    _require(spec.observe is None,
+             "observers are not supported over the wire")
+    _require(spec.sampling is None or spec.faults is None,
+             "sampling does not compose with fault injection")
+    try:
+        spec.resolved_cfg()   # unknown policy fails here, with hints
+        spec.fault_plan()     # malformed fault plan fails here
+        if spec.sampling is not None:
+            from ..sampling.plan import SamplingSpec, is_interval_token, \
+                parse_interval
+            if is_interval_token(spec.sampling):
+                parse_interval(spec.sampling)   # a pre-planned interval
+            else:
+                SamplingSpec.parse(spec.sampling)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return spec
 
 
 @dataclass(frozen=True)
@@ -156,10 +121,10 @@ class ErrorInfo:
 
     ``kind`` vocabulary:
 
-    * ``rejected``  — admission control refused the job (queue full);
-      honour ``retry_after`` (seconds) before resubmitting
-    * ``shed``      — the job was admitted but later evicted to make room
-      for an interactive job
+    * ``rejected``  — the queue is full; honour ``retry_after``
+      (seconds) before resubmitting
+    * ``degraded``  — the executor's circuit breaker is open; honour
+      ``retry_after`` (the cooldown left) before resubmitting
     * ``draining``  — the daemon is shutting down and admits nothing new
     * ``failed``    — the simulation failed; ``phase``/``attempts`` carry
       the runtime failure classification (worker / timeout / pool)
@@ -260,10 +225,11 @@ def check_version(body: dict) -> None:
     v = body.get("v", PROTOCOL_VERSION)
     if v != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {v!r} "
-                            f"(this server speaks v{PROTOCOL_VERSION})")
+                            f"(this server speaks v{PROTOCOL_VERSION})",
+                            kind="unsupported-version")
 
 
-def parse_submit_body(body: object) -> List[JobSpec]:
+def parse_submit_body(body: object) -> List[RunSpec]:
     """Validate a submit request body into its job specs."""
     _require(isinstance(body, dict), "submit body must be an object")
     assert isinstance(body, dict)
@@ -272,4 +238,4 @@ def parse_submit_body(body: object) -> List[JobSpec]:
     _require(isinstance(jobs, list) and bool(jobs),
              "submit body needs a non-empty 'jobs' list")
     assert isinstance(jobs, list)
-    return [JobSpec.from_dict(item) for item in jobs]
+    return [parse_job(item) for item in jobs]

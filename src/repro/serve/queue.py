@@ -1,4 +1,4 @@
-"""Priority job queue with per-client fairness and request coalescing.
+"""Arrival-order job queue with request coalescing.
 
 The queue applies the paper's reuse idea one level up: just as the
 mechanism validates a control-independent slice once and *skips*
@@ -15,9 +15,8 @@ Structure:
 * an :class:`Entry` is one unit of execution — the fan-in point.  N
   tickets with the same key attach to one entry and fan out N responses
   when it finishes;
-* entries queue in two priority lanes (``interactive`` before
-  ``sweep``), each lane holding one FIFO per client, drained round-robin
-  across clients so one chatty client cannot starve the rest.
+* entries wait in one FIFO and dispatch in arrival order; a ticket that
+  coalesces onto a queued entry rides along without moving it.
 
 Thread discipline: every method here runs on the server's event-loop
 thread.  The executor thread only ever touches the ``Entry`` objects a
@@ -28,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
+from ..runtime import RunSpec
 from . import protocol
-from .protocol import ErrorInfo, JobSpec, JobStatus
+from .protocol import ErrorInfo, JobStatus
 
 _ids = itertools.count(1)
 
@@ -48,7 +48,7 @@ class Ticket:
                  "submitted_at", "started_at", "finished_at", "coalesced",
                  "replayed")
 
-    def __init__(self, spec: JobSpec, key: str, now: float,
+    def __init__(self, spec: RunSpec, key: str, now: float,
                  replayed: bool = False):
         self.id = _new_ticket_id()
         self.spec = spec
@@ -80,50 +80,41 @@ class Ticket:
 class Entry:
     """One unit of execution: every ticket sharing one cache key."""
 
-    __slots__ = ("key", "spec", "priority", "client", "tickets", "state",
-                 "seq")
-
-    _seq = itertools.count(1)
+    __slots__ = ("key", "spec", "tickets", "state")
 
     def __init__(self, ticket: Ticket):
         self.key = ticket.key
         self.spec = ticket.spec             # representative spec
-        self.priority = ticket.spec.priority
-        self.client = ticket.spec.client    # fairness lane key
         self.tickets: List[Ticket] = [ticket]
         self.state = protocol.QUEUED
-        self.seq = next(Entry._seq)         # arrival order (for shedding)
-
-
-#: one lane: client name -> FIFO of queued entries
-_Lane = "OrderedDict[str, Deque[Entry]]"
 
 
 class ServeQueue:
-    """The daemon's admission queue (coalescing + fairness, no policy).
+    """The daemon's admission queue: one FIFO plus the coalesce index.
 
-    Admission *decisions* (reject/shed) live in the scheduler; this
-    class only implements the structure they act on.
+    Admission *decisions* (queue full, breaker open) live in the
+    server; this class only implements the structure they act on.
     """
 
     def __init__(self) -> None:
         #: key -> in-flight entry (queued or running): the coalesce index
         self.entries: Dict[str, Entry] = {}
-        self._lanes: Dict[str, OrderedDict] = {
-            p: OrderedDict() for p in protocol.PRIORITIES}
-        #: queued (not yet dispatched) entries
-        self.depth = 0
+        #: queued (not yet dispatched) entries, oldest first
+        self._fifo: Deque[Entry] = deque()
         #: entries currently executing
         self.inflight = 0
+
+    @property
+    def depth(self) -> int:
+        """Queued (not yet dispatched) entries."""
+        return len(self._fifo)
 
     # -- submission ------------------------------------------------------
     def coalesce(self, ticket: Ticket) -> Optional[Entry]:
         """Attach ``ticket`` to an in-flight entry with the same key.
 
         Returns the entry (ticket rides along; state mirrors the
-        entry's), or None when no such entry exists.  An interactive
-        ticket joining a *queued* sweep entry upgrades it — the fan-in
-        must not leave an interactive client waiting behind sweep jobs.
+        entry's), or None when no such entry exists.
         """
         entry = self.entries.get(ticket.key)
         if entry is None:
@@ -133,65 +124,28 @@ class ServeQueue:
         ticket.state = entry.state
         if entry.state == protocol.RUNNING:
             ticket.started_at = ticket.submitted_at
-        elif (ticket.spec.priority == "interactive"
-                and entry.priority == "sweep"):
-            self._remove_queued(entry)
-            entry.priority = "interactive"
-            self._enqueue(entry)
         return entry
 
     def push(self, ticket: Ticket) -> Entry:
         """Queue a brand-new entry for ``ticket`` (no coalesce target)."""
         entry = Entry(ticket)
         self.entries[entry.key] = entry
-        self._enqueue(entry)
+        self._fifo.append(entry)
         return entry
-
-    def _enqueue(self, entry: Entry) -> None:
-        lane = self._lanes[entry.priority]
-        lane.setdefault(entry.client, deque()).append(entry)
-        self.depth += 1
-
-    def _remove_queued(self, entry: Entry) -> None:
-        lane = self._lanes[entry.priority]
-        dq = lane.get(entry.client)
-        if dq is not None:
-            try:
-                dq.remove(entry)
-            except ValueError:
-                return
-            if not dq:
-                del lane[entry.client]
-            self.depth -= 1
 
     # -- dispatch --------------------------------------------------------
     def pop_batch(self, max_n: int) -> List[Entry]:
-        """Take up to ``max_n`` queued entries for execution.
+        """Take up to ``max_n`` queued entries, oldest first.
 
-        Interactive entries first; within a lane, one entry per client
-        per round (round-robin) so clients progress evenly.  Popped
-        entries transition to RUNNING (their tickets with them) and stay
-        in the coalesce index until :meth:`finish`.
+        Popped entries transition to RUNNING (their tickets with them)
+        and stay in the coalesce index until :meth:`finish`.
         """
-        out: List[Entry] = []
-        for priority in protocol.PRIORITIES:
-            lane = self._lanes[priority]
-            while lane and len(out) < max_n:
-                for client in list(lane.keys()):
-                    if len(out) >= max_n:
-                        break
-                    dq = lane.get(client)
-                    if not dq:
-                        lane.pop(client, None)
-                        continue
-                    out.append(dq.popleft())
-                    if not dq:
-                        lane.pop(client, None)
+        out = [self._fifo.popleft()
+               for _ in range(min(max_n, len(self._fifo)))]
         for entry in out:
             entry.state = protocol.RUNNING
             for t in entry.tickets:
                 t.state = protocol.RUNNING
-        self.depth -= len(out)
         self.inflight += len(out)
         return out
 
@@ -200,25 +154,7 @@ class ServeQueue:
         self.entries.pop(entry.key, None)
         self.inflight -= 1
 
-    # -- eviction / cancellation ----------------------------------------
-    def shed_newest_sweep(self) -> Optional[Entry]:
-        """Evict the most recently queued sweep entry (LIFO shed).
-
-        Newest-first keeps the work already waiting longest; entries
-        that gained an interactive ticket were upgraded out of the sweep
-        lane and are never shed.
-        """
-        lane = self._lanes["sweep"]
-        victim: Optional[Entry] = None
-        for dq in lane.values():
-            if dq and (victim is None or dq[-1].seq > victim.seq):
-                victim = dq[-1]
-        if victim is None:
-            return None
-        self._remove_queued(victim)
-        del self.entries[victim.key]
-        return victim
-
+    # -- cancellation ----------------------------------------------------
     def cancel(self, ticket: Ticket) -> bool:
         """Detach a *queued* ticket; True when it was cancelled.
 
@@ -233,21 +169,16 @@ class ServeQueue:
             return False
         entry.tickets.remove(ticket)
         if not entry.tickets:
-            self._remove_queued(entry)
+            self._fifo.remove(entry)
             del self.entries[entry.key]
         return True
 
     def drain(self) -> List[Entry]:
         """Remove every queued entry (shutdown path); returns them."""
-        drained: List[Entry] = []
-        for priority in protocol.PRIORITIES:
-            lane = self._lanes[priority]
-            for dq in lane.values():
-                drained.extend(dq)
-            lane.clear()
+        drained = list(self._fifo)
+        self._fifo.clear()
         for entry in drained:
             del self.entries[entry.key]
-        self.depth -= len(drained)
         return drained
 
     # -- introspection ---------------------------------------------------

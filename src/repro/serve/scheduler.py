@@ -1,14 +1,8 @@
-"""Admission control, dispatch and executor supervision for the service.
+"""Dispatch and executor supervision for the service.
 
-Four pieces:
+Three pieces (admission itself — a bounded queue depth answered with a
+429-style ``retry_after`` — is one check in the server's submit path):
 
-* :class:`AdmissionController` — bounded queue depth with backpressure.
-  Like *variable instruction fetch rate* throttling fetch under branch
-  uncertainty, the server throttles admission under load instead of
-  melting down: when the queue is full, new sweep jobs are rejected with
-  a 429-style ``retry_after``, and interactive jobs may *shed* the
-  newest queued sweep job to take its place (load-shedding low-priority
-  work before interactive work).
 * :class:`SimExecutor` — the synchronous execution engine.  It owns the
   persistent per-(scale, seed) :class:`~repro.runtime.ParallelRunner`
   instances (one shared disk cache, warm program/result memos) and
@@ -21,10 +15,10 @@ Four pieces:
   :data:`repro.runtime.TRANSIENT_PHASES`) means the executor itself is
   sick, not the jobs; the supervisor restarts the executor's runners
   with capped exponential backoff and, after repeated failed restarts,
-  trips a circuit breaker: new sweep submissions are refused with a
-  ``Retry-After`` hint while interactive jobs keep draining, and the
-  breaker half-opens after a cooldown so one healthy batch closes it.
-* :class:`Dispatcher` — the async loop: pop a fair batch, journal its
+  trips a circuit breaker: new submissions are refused with a
+  ``Retry-After`` hint until a cooldown elapses, then the breaker
+  half-opens so one healthy batch closes it.
+* :class:`Dispatcher` — the async loop: pop the oldest batch, journal its
   ``started`` records, execute it in a worker thread
   (``asyncio.to_thread``) under the supervisor's retry policy, fan
   results out to every ticket (journaling each terminal transition),
@@ -38,54 +32,15 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime import (TRANSIENT_PHASES, FailedResult, ParallelRunner,
-                       ResultCache)
+                       ResultCache, RunSpec)
 from . import protocol
 from .journal import COMPLETED, FAILED, JobJournal
 from .metrics import ServerMetrics
-from .protocol import ErrorInfo, JobSpec
-from .queue import Entry, ServeQueue, Ticket
-
-
-@dataclass(frozen=True)
-class Admission:
-    """Outcome of one admission decision."""
-
-    accepted: bool
-    error: Optional[ErrorInfo] = None
-    #: sweep entry evicted to make room (already detached from the queue)
-    shed: Optional[Entry] = None
-
-
-class AdmissionController:
-    """Bounded-depth admission with priority-aware load shedding."""
-
-    def __init__(self, max_depth: int = 256):
-        self.max_depth = max(1, max_depth)
-
-    def retry_after(self, queue: ServeQueue,
-                    metrics: ServerMetrics) -> float:
-        """Backpressure hint: roughly one batch's worth of latency."""
-        est = metrics.recent_latency() * max(1, queue.depth)
-        return min(30.0, max(0.5, est))
-
-    def decide(self, queue: ServeQueue, spec: JobSpec,
-               metrics: ServerMetrics) -> Admission:
-        if queue.depth < self.max_depth:
-            return Admission(accepted=True)
-        retry = self.retry_after(queue, metrics)
-        if spec.priority == "interactive":
-            victim = queue.shed_newest_sweep()
-            if victim is not None:
-                return Admission(accepted=True, shed=victim)
-        return Admission(accepted=False, error=ErrorInfo(
-            kind="rejected",
-            message=f"queue full ({self.max_depth} entries); "
-                    f"retry in {retry:.1f}s",
-            retry_after=retry))
+from .protocol import ErrorInfo
+from .queue import Entry, ServeQueue
 
 
 class PoolSupervisor:
@@ -98,10 +53,10 @@ class PoolSupervisor:
       executor's runners were rebuilt and the batch is being retried
       after a capped exponential backoff.
     * ``circuit-open`` — ``max_restarts`` consecutive restarts failed.
-      New *sweep* submissions are refused (``allows`` / ``retry_after``)
-      while interactive jobs drain; after ``cooldown`` seconds the
-      breaker half-opens — the next batch probes the pool and a healthy
-      outcome closes it.
+      New submissions are refused (``allows`` / ``retry_after``) while
+      already-queued jobs drain; after ``cooldown`` seconds the breaker
+      half-opens — the next batch probes the pool and a healthy outcome
+      closes it.
 
     All methods run on the event-loop thread (the dispatcher awaits the
     executor off-loop but consults the supervisor between attempts).
@@ -174,19 +129,16 @@ class PoolSupervisor:
     def degraded(self) -> bool:
         return self.state != self.OK
 
-    def allows(self, priority: str) -> bool:
-        """May a submission of this priority enter while degraded?
-
-        Interactive jobs always may (they drain, and they probe a
-        half-open breaker); sweeps are refused while the breaker is
-        open and the cooldown has not elapsed.
-        """
-        if self.state != self.OPEN or priority == "interactive":
+    def allows(self) -> bool:
+        """May a new submission enter?  Not while the breaker is open
+        and its cooldown has not elapsed."""
+        if self.state != self.OPEN:
             return True
         return self._clock() - self._opened_at >= self.cooldown
 
     def retry_after(self) -> float:
-        """Backpressure hint for a refused sweep: breaker time left."""
+        """Backpressure hint for a refused submission: breaker time
+        left."""
         remaining = self.cooldown - (self._clock() - self._opened_at)
         return min(self.cooldown, max(0.5, remaining))
 
@@ -233,7 +185,7 @@ class SimExecutor:
         return runner
 
     # -- coalescing keys -------------------------------------------------
-    def key_for(self, spec: JobSpec) -> str:
+    def key_for(self, spec: RunSpec) -> str:
         """The content-addressed identity of one request.
 
         Exactly ``spec.cache_key()`` — the canonical run key shared

@@ -8,6 +8,14 @@ persistent :class:`~.scheduler.SimExecutor` (warm runners + disk cache).
 Connections are one-request (``Connection: close``) — clients poll, the
 daemon stays simple, and there is no connection state to drain.
 
+Admission is bounded-depth backpressure.  Like *variable instruction
+fetch rate* throttling fetch under branch uncertainty, the server
+throttles intake under load instead of melting down: a submission that
+coalesces onto an in-flight twin is always admitted (it adds no work);
+otherwise an open circuit breaker answers ``degraded`` and a queue
+holding ``queue_depth`` entries answers 429 ``rejected``, each with a
+``Retry-After`` hint.
+
 Graceful drain (SIGTERM/SIGINT, or :meth:`ServeServer.request_shutdown`):
 
 1. stop admitting — submits answer 503 ``draining``;
@@ -36,10 +44,9 @@ from ..runtime import ResultCache
 from . import protocol
 from .journal import JobJournal, JournalReplay
 from .metrics import ServerMetrics
-from .protocol import ErrorInfo, JobSpec, ProtocolError
+from .protocol import ErrorInfo, ProtocolError
 from .queue import ServeQueue, Ticket
-from .scheduler import (AdmissionController, Dispatcher, PoolSupervisor,
-                        SimExecutor)
+from .scheduler import Dispatcher, PoolSupervisor, SimExecutor
 
 #: largest accepted request body (a 12-kernel suite submit is ~20 KiB)
 MAX_BODY = 16 * 1024 * 1024
@@ -47,10 +54,18 @@ MAX_BODY = 16 * 1024 * 1024
 #: finished tickets kept addressable for late pollers
 FINISHED_CAP = 4096
 
+#: seconds a client waits before resubmitting to a full queue (a full
+#: queue at the default depth holds minutes of simulation)
+RETRY_AFTER = 30.0
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
+
+
+def _refused(err: ErrorInfo) -> dict:
+    return {"accepted": False, "error": err.to_dict()}
 
 
 class ServeServer:
@@ -73,7 +88,8 @@ class ServeServer:
         self.executor = SimExecutor(cache=cache, jobs=jobs,
                                     timeout=timeout, retries=retries)
         self.metrics = ServerMetrics()
-        self.admission = AdmissionController(queue_depth)
+        #: admission bound: queued entries beyond this are refused
+        self.queue_depth = max(1, queue_depth)
         #: the write-ahead log; None disables crash safety (tests,
         #: throwaway servers).  Accepts a path or a JobJournal.
         if isinstance(journal, str):
@@ -154,7 +170,7 @@ class ServeServer:
         for key, record in replay.incomplete.items():
             spec_dict = record.get("spec")
             try:
-                spec = JobSpec.from_dict(spec_dict)
+                spec = protocol.parse_job(spec_dict)
             except Exception as exc:
                 # Registry drift (kernel/policy gone): close the job in
                 # the journal instead of resurrecting a zombie.
@@ -260,7 +276,7 @@ class ServeServer:
                     method, path, query, body)
             except ProtocolError as exc:
                 status, payload, headers = 400, protocol.error_envelope(
-                    ErrorInfo(kind="bad-request", message=str(exc))), {}
+                    ErrorInfo(kind=exc.kind, message=str(exc))), {}
             except Exception:
                 print(f"repro serve: internal error handling "
                       f"{method} {path}\n{traceback.format_exc()}",
@@ -373,84 +389,10 @@ class ServeServer:
         # Key computation builds + predecodes programs: off the loop.
         keys = await asyncio.to_thread(
             lambda: [self._key_or_error(s) for s in specs])
-        results = []
-        accepted = rejected = 0
-        retry_after = 0.0
         now = asyncio.get_event_loop().time()
-        for spec, key in zip(specs, keys):
-            if isinstance(key, ErrorInfo):
-                results.append({"accepted": False, "error": key.to_dict()})
-                rejected += 1
-                continue
-            if self.draining:
-                results.append({"accepted": False, "error": ErrorInfo(
-                    kind="draining",
-                    message="server is draining").to_dict()})
-                rejected += 1
-                continue
-            ticket = Ticket(spec, key, now)
-            entry = self.queue.coalesce(ticket)
-            if entry is None and not self.supervisor.allows(spec.priority):
-                # Circuit open: shed load at the door.  Coalesced
-                # submissions still attach (no new work), interactive
-                # jobs still drain/probe.
-                retry = self.supervisor.retry_after()
-                retry_after = max(retry_after, retry)
-                results.append({"accepted": False, "error": ErrorInfo(
-                    kind="degraded",
-                    message=f"executor degraded "
-                            f"({self.supervisor.state}); sweep refused, "
-                            f"retry in {retry:.1f}s",
-                    retry_after=retry).to_dict()})
-                self.metrics.inc("jobs_rejected_degraded")
-                rejected += 1
-                continue
-            if entry is not None:
-                # Fan-in: no new work enters the system, so coalesced
-                # submissions bypass admission control entirely.
-                self._register(ticket)
-                self.metrics.inc("jobs_coalesced")
-                self.executor.cache.note_coalesced()
-                results.append({"accepted": True, "id": ticket.id,
-                                "coalesced": True, "state": ticket.state})
-                accepted += 1
-                continue
-            decision = self.admission.decide(self.queue, spec,
-                                             self.metrics)
-            if decision.shed is not None:
-                for shed_ticket in decision.shed.tickets:
-                    shed_ticket.state = protocol.FAILED
-                    shed_ticket.error = ErrorInfo(
-                        kind="shed",
-                        message="evicted from a full queue to admit "
-                                "interactive work; resubmit later")
-                    self._retire(shed_ticket)
-                    self.metrics.inc("jobs_shed")
-                if self.journal is not None:
-                    self.journal.note_cancelled(decision.shed.key,
-                                                reason="shed")
-            if not decision.accepted:
-                assert decision.error is not None
-                retry_after = max(retry_after, decision.error.retry_after)
-                results.append({"accepted": False,
-                                "error": decision.error.to_dict()})
-                self.metrics.inc("jobs_rejected")
-                rejected += 1
-                continue
-            if self.journal is not None:
-                # Durability point: the accept record (with its full
-                # spec) hits disk before the push makes the job
-                # dispatchable and before the client sees the ack.
-                # Synchronous on the loop thread on purpose — the
-                # dispatcher shares this thread, so ``started`` can
-                # never be journaled ahead of ``accepted``.
-                self.journal.note_accepted(key, spec.to_dict())
-            self.queue.push(ticket)
-            self._register(ticket)
-            self.metrics.inc("jobs_submitted")
-            results.append({"accepted": True, "id": ticket.id,
-                            "coalesced": False, "state": ticket.state})
-            accepted += 1
+        results = [self._admit(spec, key, now)
+                   for spec, key in zip(specs, keys)]
+        accepted = sum(1 for r in results if r["accepted"])
         if accepted:
             self.dispatcher.kick()
             status = 200
@@ -459,9 +401,55 @@ class ServeServer:
         else:
             status = 429
         headers = {}
+        retry_after = max((r["error"].get("retry_after", 0.0)
+                           for r in results if not r["accepted"]),
+                          default=0.0)
         if retry_after and not accepted:
             headers["Retry-After"] = f"{retry_after:.1f}"
         return status, protocol.ok_envelope(jobs=results), headers
+
+    def _admit(self, spec, key, now: float) -> dict:
+        """One job's admission decision, as its submit-response row."""
+        if isinstance(key, ErrorInfo):
+            return _refused(key)
+        if self.draining:
+            return _refused(ErrorInfo(kind="draining",
+                                      message="server is draining"))
+        ticket = Ticket(spec, key, now)
+        if self.queue.coalesce(ticket) is not None:
+            # Fan-in: no new work enters the system, so coalesced
+            # submissions bypass both admission checks.
+            self.metrics.inc("jobs_coalesced")
+            self.executor.cache.note_coalesced()
+        elif not self.supervisor.allows():
+            retry = self.supervisor.retry_after()
+            self.metrics.inc("jobs_rejected_degraded")
+            return _refused(ErrorInfo(
+                kind="degraded",
+                message=f"executor degraded ({self.supervisor.state}); "
+                        f"retry in {retry:.1f}s",
+                retry_after=retry))
+        elif self.queue.depth >= self.queue_depth:
+            self.metrics.inc("jobs_rejected")
+            return _refused(ErrorInfo(
+                kind="rejected",
+                message=f"queue full ({self.queue_depth} entries); "
+                        f"retry in {RETRY_AFTER:.1f}s",
+                retry_after=RETRY_AFTER))
+        else:
+            if self.journal is not None:
+                # Durability point: the accept record (with its full
+                # spec) hits disk before the push makes the job
+                # dispatchable and before the client sees the ack.
+                # Synchronous on the loop thread on purpose — the
+                # dispatcher shares this thread, so ``started`` can
+                # never be journaled ahead of ``accepted``.
+                self.journal.note_accepted(key, protocol.wire_dict(spec))
+            self.queue.push(ticket)
+            self.metrics.inc("jobs_submitted")
+        self._register(ticket)
+        return {"accepted": True, "id": ticket.id,
+                "coalesced": ticket.coalesced, "state": ticket.state}
 
     def _key_or_error(self, spec):
         try:
@@ -531,7 +519,7 @@ async def _amain(**opts) -> int:
     jobs = server.executor.jobs or "auto"
     print(f"repro serve: listening on http://{host}:{port} "
           f"(jobs={jobs}, queue depth "
-          f"{server.admission.max_depth}); SIGTERM/SIGINT drains",
+          f"{server.queue_depth}); SIGTERM/SIGINT drains",
           file=sys.stderr, flush=True)
     await server.wait_stopped()
     totals = server.executor.totals()

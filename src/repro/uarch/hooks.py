@@ -6,8 +6,6 @@ its exact signature, in one place.  The base class is a no-op, so a bare
 :class:`~repro.uarch.core.Core` is a plain superscalar; the CI
 mechanism's :class:`~repro.ci.pipeline.MechanismPipeline` subclasses it
 and delegates each hook to its policy-selected components.
-
-``Hooks`` is kept as a compatibility alias for the pre-refactor name.
 """
 
 from __future__ import annotations
@@ -103,7 +101,3 @@ class MechanismHooks:
         """Extra cycles before a validated instruction's value is usable
         (the speculative-data-memory copy path)."""
         return 0
-
-
-#: compatibility alias for the pre-refactor name
-Hooks = MechanismHooks

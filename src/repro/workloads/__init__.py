@@ -11,7 +11,6 @@ from .registry import (
 from .suite import (
     BY_NAME,
     SUITE,
-    KernelSpec,
     build_program,
     build_suite,
     get_kernel,
@@ -20,7 +19,6 @@ from .suite import (
 
 __all__ = [
     "BY_NAME",
-    "KernelSpec",
     "SUITE",
     "UnknownWorkloadError",
     "WorkloadSpec",

@@ -20,20 +20,17 @@ from .registry import (
     workload_names,
 )
 
-#: compatibility alias: a suite member is a registry workload spec
-KernelSpec = WorkloadSpec
-
 #: Suite members in the paper's presentation order (a registry view).
-SUITE: List[KernelSpec] = all_workloads()
+SUITE: List[WorkloadSpec] = all_workloads()
 
-BY_NAME: Dict[str, KernelSpec] = {k.name: k for k in SUITE}
+BY_NAME: Dict[str, WorkloadSpec] = {k.name: k for k in SUITE}
 
 
 def kernel_names() -> List[str]:
     return workload_names()
 
 
-def get_kernel(name: str) -> KernelSpec:
+def get_kernel(name: str) -> WorkloadSpec:
     """Resolve a kernel name (raises with did-you-mean suggestions)."""
     return get_workload(name)
 

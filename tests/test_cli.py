@@ -220,10 +220,9 @@ class TestServeCli:
                                           "--queue-depth", "4"])
         assert args.port == 0 and args.queue_depth == 4
         args = build_parser().parse_args(
-            ["submit", "gzip", "mcf", "--server", "h:1",
-             "--priority", "sweep"])
+            ["submit", "gzip", "mcf", "--server", "h:1"])
         assert args.kernels == ["gzip", "mcf"]
-        assert args.server == "h:1" and args.priority == "sweep"
+        assert args.server == "h:1"
         args = build_parser().parse_args(["suite", "--server", "h:1"])
         assert args.server == "h:1"
 

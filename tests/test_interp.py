@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import InterpreterError, assemble, run
+from repro.isa import InterpError, assemble, run
 from repro.isa.opcodes import to_unsigned
 
 HAMMOCK_SRC = """
@@ -79,7 +79,7 @@ class TestBasics:
         assert r.reg(2) == 0
 
     def test_runaway_guard(self):
-        with pytest.raises(InterpreterError):
+        with pytest.raises(InterpError):
             run(assemble("loop: j loop"), max_steps=100)
 
     def test_negative_values_roundtrip_memory(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import run_kernel, run_program
-from repro.ci import CIEngine
+from repro.ci import MechanismPipeline
 from repro.observe import (
     COMPONENTS,
     AuditTrail,
@@ -52,8 +52,8 @@ class TestCPIStackInvariant:
 
     def test_components_meaningful_on_hammock(self):
         obs = CPIStack()
-        st = simulate(micro_program("biased50"), ci(1, 512), CIEngine(),
-                      observer=obs)
+        st = simulate(micro_program("biased50"), ci(1, 512),
+                      MechanismPipeline(), observer=obs)
         assert obs.total == st.cycles
         # A hammock full of hard mispredictions must show branch penalty.
         assert obs.branch_resolution > 0
@@ -102,8 +102,8 @@ class TestNonPerturbation:
 class TestPipeTracer:
     def _traced_hammock(self):
         tracer = PipeTracer()
-        st = simulate(micro_program("biased50"), ci(1, 512), CIEngine(),
-                      observer=tracer)
+        st = simulate(micro_program("biased50"), ci(1, 512),
+                      MechanismPipeline(), observer=tracer)
         return tracer, st
 
     def test_counts_match_stats(self):
@@ -149,7 +149,7 @@ class TestPipeTracer:
 
     def test_limit_caps_records(self):
         tracer = PipeTracer(limit=10)
-        simulate(micro_program("biased50"), ci(1, 512), CIEngine(),
+        simulate(micro_program("biased50"), ci(1, 512), MechanismPipeline(),
                  observer=tracer)
         assert len(tracer.records) == 10
 

@@ -116,19 +116,6 @@ class TestRegistry:
         assert len(prog) > 0
 
 
-class TestTupleShim:
-    def test_tuple_points_warn_but_work(self):
-        from repro.experiments.common import Runner
-        from repro.runtime import ResultCache
-        runner = Runner(scale=0.05, seed=1, jobs=1,
-                        cache=ResultCache(enabled=False))
-        cfg = wb(1, 512)
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = runner.run_many([("gzip", cfg)])
-        modern = runner.run_many([RunSpec("gzip", 0.05, 1, cfg)])
-        assert legacy[0].as_dict() == modern[0].as_dict()
-
-
 class TestKeyStability:
     """One identity everywhere: pool, serve coalescing, JSON wire."""
 
@@ -149,13 +136,12 @@ class TestKeyStability:
             assert run_key(spec) == entry["key"]
 
     def test_serve_coalescing_key_matches(self):
-        from repro.serve.protocol import JobSpec
+        from repro.serve import protocol
         from repro.serve.scheduler import SimExecutor
         executor = SimExecutor()
         for entry in self.entries():
             spec = RunSpec.from_dict(entry["spec"])
-            job = JobSpec(spec.kernel, spec.scale, spec.seed, spec.cfg,
-                          spec.policy, spec.faults)
+            job = protocol.parse_job(protocol.wire_dict(spec))
             assert executor.key_for(job) == entry["key"]
 
     def test_json_round_trip_key_matches(self):

@@ -385,30 +385,30 @@ class TestSharingAndOptIn(unittest.TestCase):
 
 class TestServeProtocol(unittest.TestCase):
     def test_jobspec_accepts_sampling(self):
-        from repro.serve.protocol import JobSpec
-        spec = JobSpec.from_dict({"kernel": "bzip2", "scale": 0.3,
-                                  "sampling": "auto"})
+        from repro.serve.protocol import parse_job, wire_dict
+        spec = parse_job({"kernel": "bzip2", "scale": 0.3,
+                          "sampling": "auto"})
         self.assertEqual(spec.sampling, "auto")
-        self.assertEqual(spec.to_dict()["sampling"], "auto")
+        self.assertEqual(wire_dict(spec)["sampling"], "auto")
 
     def test_jobspec_rejects_bad_sampling(self):
-        from repro.serve.protocol import JobSpec, ProtocolError
+        from repro.serve.protocol import ProtocolError, parse_job
         for data in (
                 {"kernel": "bzip2", "sampling": "z=1"},
                 {"kernel": "bzip2", "sampling": "auto",
                  "faults": "squash@400"},
                 {"kernel": "bzip2", "sampling": 7}):
             with self.assertRaises(ProtocolError):
-                JobSpec.from_dict(data)
+                parse_job(data)
 
     def test_jobspec_accepts_interval_tokens(self):
-        from repro.serve.protocol import JobSpec, ProtocolError
-        spec = JobSpec.from_dict(
+        from repro.serve.protocol import ProtocolError, parse_job
+        spec = parse_job(
             {"kernel": "bzip2", "sampling": "i=0,b=0,w=0,m=50,n=100"})
         self.assertTrue(is_interval_token(spec.sampling))
         with self.assertRaises(ProtocolError):
-            JobSpec.from_dict({"kernel": "bzip2",
-                               "sampling": "i=0,b=90,w=20,m=50,n=100"})
+            parse_job({"kernel": "bzip2",
+                       "sampling": "i=0,b=90,w=20,m=50,n=100"})
 
 
 class TestCheckpointDataclass(unittest.TestCase):

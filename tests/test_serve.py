@@ -7,15 +7,15 @@ production, minus the subprocess.
 """
 
 import asyncio
+import http.client
+import json
 import threading
 
 import pytest
 
 from repro import run_kernel
-from repro.runtime import ResultCache
+from repro.runtime import ResultCache, RunSpec
 from repro.serve import (
-    AdmissionController,
-    JobSpec,
     ProtocolError,
     RemoteRunner,
     ServeClient,
@@ -39,10 +39,11 @@ SEED = 1
 
 class TestProtocol:
     def test_jobspec_roundtrip(self):
-        spec = JobSpec(kernel="gzip", scale=0.25, seed=3,
-                       cfg=ci(2, 256), policy="vect",
-                       priority="interactive", client="t")
-        assert JobSpec.from_dict(spec.to_dict()) == spec
+        spec = RunSpec(kernel="gzip", scale=0.25, seed=3,
+                       cfg=ci(2, 256), policy="vect")
+        wire = protocol.wire_dict(spec)
+        assert "observe" not in wire
+        assert protocol.parse_job(wire) == spec
 
     def test_config_dict_roundtrip(self):
         cfg = ci(2, 256, replicas=8)
@@ -52,21 +53,32 @@ class TestProtocol:
         with pytest.raises(ValueError, match="no_such_knob"):
             config_from_dict({"no_such_knob": 1})
 
-    def test_jobspec_rejects_bad_priority(self):
-        with pytest.raises(ProtocolError, match="priority"):
-            JobSpec.from_dict({"kernel": "gzip", "priority": "turbo"})
-
     def test_jobspec_rejects_unknown_policy_at_parse(self):
         with pytest.raises(ProtocolError):
-            JobSpec.from_dict({"kernel": "gzip", "policy": "nope"})
+            protocol.parse_job({"kernel": "gzip", "policy": "nope"})
+
+    def test_parse_job_applies_server_checks(self):
+        for data, match in (
+                ({"kernel": "gzip", "observe": "cpi"}, "observers"),
+                ({"kernel": "gzip", "priority": "sweep"}, "unknown"),
+                ({"kernel": "gzip", "faults": "nope@x"}, None),
+                ({"kernel": "gzip", "sampling": "auto",
+                  "faults": "squash@400"}, "sampling"),
+                (["gzip"], "object")):
+            with pytest.raises(ProtocolError, match=match):
+                protocol.parse_job(data)
+        # The kernel is looked up per job at key time, not here.
+        assert protocol.parse_job({"kernel": "nosuchkernel"}).kernel \
+            == "nosuchkernel"
 
     def test_submit_body_requires_jobs(self):
         with pytest.raises(ProtocolError, match="jobs"):
             protocol.parse_submit_body({"v": protocol.PROTOCOL_VERSION})
 
     def test_version_check(self):
-        with pytest.raises(ProtocolError, match="version"):
+        with pytest.raises(ProtocolError, match="version") as exc_info:
             protocol.check_version({"v": 999})
+        assert exc_info.value.kind == "unsupported-version"
         protocol.check_version({})   # absent version = current
 
     def test_error_info_failed_result_bridge(self):
@@ -90,10 +102,8 @@ class TestProtocol:
 
 # -- queue ------------------------------------------------------------------
 
-def _ticket(key, priority="sweep", client="c", kernel="gzip"):
-    spec = JobSpec(kernel=kernel, scale=SCALE, seed=SEED,
-                   priority=priority, client=client)
-    return Ticket(spec, key, now=0.0)
+def _ticket(key, kernel="gzip"):
+    return Ticket(RunSpec(kernel, SCALE, SEED), key, now=0.0)
 
 
 class TestServeQueue:
@@ -116,35 +126,21 @@ class TestServeQueue:
         assert q.coalesce(twin) is entry
         assert twin.state == protocol.RUNNING
 
-    def test_interactive_twin_upgrades_queued_sweep(self):
+    def test_coalesced_ticket_keeps_arrival_order(self):
         q = ServeQueue()
-        q.push(_ticket("k1", priority="sweep"))
-        q.push(_ticket("k2", priority="sweep"))
-        entry = q.coalesce(_ticket("k1", priority="interactive"))
-        assert entry.priority == "interactive"
-        batch = q.pop_batch(1)
-        assert batch[0] is entry           # jumped ahead of k2
+        q.push(_ticket("k1"))
+        q.push(_ticket("k2"))
+        entry = q.coalesce(_ticket("k2"))
+        assert entry is not None and len(entry.tickets) == 2
+        assert [e.key for e in q.pop_batch(8)] == ["k1", "k2"]
 
-    def test_priority_lane_order_and_fairness(self):
+    def test_arrival_order_across_senders(self):
         q = ServeQueue()
-        q.push(_ticket("s1", client="a"))
-        q.push(_ticket("s2", client="a"))
-        q.push(_ticket("s3", client="b"))
-        q.push(_ticket("i1", priority="interactive", client="z"))
-        keys = [e.key for e in q.pop_batch(8)]
-        # interactive first; sweep lane round-robins a, b before a again
-        assert keys == ["i1", "s1", "s3", "s2"]
-        assert q.depth == 0 and q.inflight == 4
-
-    def test_shed_newest_sweep(self):
-        q = ServeQueue()
-        q.push(_ticket("old"))
-        q.push(_ticket("new"))
-        victim = q.shed_newest_sweep()
-        assert victim.key == "new"
-        assert "new" not in q.entries and q.depth == 1
-        assert q.shed_newest_sweep().key == "old"
-        assert q.shed_newest_sweep() is None
+        for key in ("a1", "a2", "b1", "a3", "c1"):
+            q.push(_ticket(key))
+        assert [e.key for e in q.pop_batch(3)] == ["a1", "a2", "b1"]
+        assert [e.key for e in q.pop_batch(8)] == ["a3", "c1"]
+        assert q.depth == 0 and q.inflight == 5
 
     def test_cancel_only_queued(self):
         q = ServeQueue()
@@ -164,7 +160,7 @@ class TestServeQueue:
     def test_drain_empties_every_lane(self):
         q = ServeQueue()
         q.push(_ticket("a"))
-        q.push(_ticket("b", priority="interactive"))
+        q.push(_ticket("b"))
         drained = q.drain()
         assert {e.key for e in drained} == {"a", "b"}
         assert q.depth == 0 and not q.entries
@@ -172,39 +168,77 @@ class TestServeQueue:
 
 # -- admission --------------------------------------------------------------
 
+def _held(server, fn):
+    """Start ``server`` with its dispatcher stopped (nothing leaves the
+    queue), run blocking ``fn(client)`` in a thread, then drain."""
+    async def main():
+        await server.start()
+        await server.dispatcher.stop()
+        host, port = server.address
+        client = ServeClient(f"{host}:{port}")
+        try:
+            return await asyncio.to_thread(fn, client)
+        finally:
+            server.request_shutdown()
+            await server.wait_stopped()
+    return asyncio.run(main())
+
+
+def _raw_submit(client, specs):
+    """POST a submit and return (HTTP status, Retry-After, envelope)."""
+    conn = http.client.HTTPConnection(client.host, client.port,
+                                      timeout=30)
+    try:
+        body = json.dumps({"v": protocol.PROTOCOL_VERSION,
+                           "jobs": [protocol.wire_dict(s) for s in specs]})
+        conn.request("POST", f"{protocol.API_PREFIX}/submit", body=body,
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return (resp.status, resp.getheader("Retry-After"),
+                json.loads(resp.read()))
+    finally:
+        conn.close()
+
+
 class TestAdmission:
-    def test_accepts_under_depth(self):
-        ctl = AdmissionController(max_depth=2)
-        q = ServeQueue()
-        d = ctl.decide(q, JobSpec(kernel="gzip"), ServerMetrics())
-        assert d.accepted and d.shed is None
+    def test_accepts_under_depth(self, tmp_path):
+        server = _serve_fixture(tmp_path, queue_depth=2)
+        decisions = _held(server, lambda client: client.submit(
+            [RunSpec("gzip", SCALE), RunSpec("mcf", SCALE)]))
+        assert [d["accepted"] for d in decisions] == [True, True]
+        assert server.metrics.counters["jobs_submitted"] == 2
+        assert server.metrics.counters["jobs_rejected"] == 0
 
-    def test_rejects_sweep_when_full(self):
-        ctl = AdmissionController(max_depth=1)
-        q = ServeQueue()
-        q.push(_ticket("k1"))
-        d = ctl.decide(q, JobSpec(kernel="gzip", priority="sweep"),
-                       ServerMetrics())
-        assert not d.accepted
-        assert d.error.kind == "rejected"
-        assert d.error.retry_after > 0
+    def test_full_queue_answers_429_with_retry_after(self, tmp_path):
+        server = _serve_fixture(tmp_path, queue_depth=1)
 
-    def test_interactive_sheds_newest_sweep(self):
-        ctl = AdmissionController(max_depth=1)
-        q = ServeQueue()
-        q.push(_ticket("k1", priority="sweep"))
-        d = ctl.decide(q, JobSpec(kernel="gzip", priority="interactive"),
-                       ServerMetrics())
-        assert d.accepted and d.shed is not None
-        assert d.shed.key == "k1"
+        def drive(client):
+            [first] = client.submit([RunSpec("gzip", SCALE)])
+            assert first["accepted"]
+            return _raw_submit(client, [RunSpec("mcf", SCALE)])
 
-    def test_interactive_rejected_when_no_sweep_to_shed(self):
-        ctl = AdmissionController(max_depth=1)
-        q = ServeQueue()
-        q.push(_ticket("k1", priority="interactive"))
-        d = ctl.decide(q, JobSpec(kernel="gzip", priority="interactive"),
-                       ServerMetrics())
-        assert not d.accepted and d.shed is None
+        status, retry_header, env = _held(server, drive)
+        assert status == 429
+        assert float(retry_header) > 0
+        [decision] = env["jobs"]
+        assert not decision["accepted"]
+        assert decision["error"]["kind"] == "rejected"
+        assert decision["error"]["retry_after"] > 0
+        assert server.metrics.counters["jobs_rejected"] == 1
+
+    def test_dispatch_follows_arrival_order_across_clients(self, tmp_path):
+        server = _serve_fixture(tmp_path)
+
+        def drive(client):
+            other = ServeClient(client.base_url)
+            client.submit([RunSpec("gzip", SCALE), RunSpec("mcf", SCALE)])
+            other.submit([RunSpec("vpr", SCALE)])
+            client.submit([RunSpec("bzip2", SCALE)])
+            other.submit([RunSpec("mcf", SCALE)])      # coalesces
+            return [e.spec.kernel for e in server.queue.pop_batch(8)]
+
+        assert _held(server, drive) == ["gzip", "mcf", "vpr", "bzip2"]
+        assert server.metrics.counters["jobs_coalesced"] == 1
 
 
 # -- metrics ----------------------------------------------------------------
@@ -272,7 +306,7 @@ class TestServerEndToEnd:
 
         def drive(client):
             [(status, stats)] = client.run(
-                [JobSpec(kernel="gzip", scale=SCALE, seed=SEED, cfg=cfg)])
+                [RunSpec(kernel="gzip", scale=SCALE, seed=SEED, cfg=cfg)])
             assert status.state == protocol.DONE
             return SimStats.from_dict(stats)
 
@@ -282,8 +316,8 @@ class TestServerEndToEnd:
     def test_concurrent_clients_identical_and_run_once(self, tmp_path):
         """Twin submissions coalesce: identical stats, one simulation."""
         server = _serve_fixture(tmp_path)
-        specs = [JobSpec(kernel="gzip", scale=SCALE, seed=SEED),
-                 JobSpec(kernel="mcf", scale=SCALE, seed=SEED)]
+        specs = [RunSpec(kernel="gzip", scale=SCALE, seed=SEED),
+                 RunSpec(kernel="mcf", scale=SCALE, seed=SEED)]
 
         def drive(client):
             barrier = threading.Barrier(2)
@@ -316,7 +350,7 @@ class TestServerEndToEnd:
         server = _serve_fixture(tmp_path)
 
         def drive(client):
-            spec = JobSpec(kernel="gzip", scale=SCALE, seed=SEED)
+            spec = RunSpec(kernel="gzip", scale=SCALE, seed=SEED)
             client.run([spec])
             [(status, _)] = client.run([spec])
             return status
@@ -328,7 +362,7 @@ class TestServerEndToEnd:
     def test_bad_kernel_fails_cleanly(self, tmp_path):
         def drive(client):
             [(status, stats)] = client.run(
-                [JobSpec(kernel="nosuchkernel", scale=SCALE)])
+                [RunSpec(kernel="nosuchkernel", scale=SCALE)])
             assert stats is None
             return status
 
@@ -338,7 +372,7 @@ class TestServerEndToEnd:
 
     def test_health_and_metrics_endpoints(self, tmp_path):
         def drive(client):
-            client.run([JobSpec(kernel="gzip", scale=SCALE)])
+            client.run([RunSpec(kernel="gzip", scale=SCALE)])
             return client.health(), client.metrics_text()
 
         health, metrics = _drive(_serve_fixture(tmp_path), drive)
@@ -367,84 +401,75 @@ class TestServerEndToEnd:
         assert status == 400 and not env["ok"]
         assert "version" in env["error"]["message"]
 
+    def test_v1_body_gets_unsupported_version(self, tmp_path):
+        v1_job = {"kernel": "gzip", "scale": SCALE, "seed": SEED,
+                  "priority": "interactive", "client": "submit-1"}
+
+        def drive(client):
+            return client._request("POST", "/v1/submit",
+                                   {"v": 1, "jobs": [v1_job]})
+
+        status, env = _drive(_serve_fixture(tmp_path), drive)
+        assert status == 400 and not env["ok"]
+        assert env["error"]["kind"] == "unsupported-version"
+        assert "v2" in env["error"]["message"]
+
+    def test_bad_kernel_in_batch_fails_only_that_job(self, tmp_path):
+        server = _serve_fixture(tmp_path)
+
+        def drive(client):
+            return client.run([RunSpec("gzip", SCALE, SEED),
+                               RunSpec("nosuchkernel", SCALE, SEED),
+                               RunSpec("mcf", SCALE, SEED)])
+
+        (good, stats), (bad, none), (also_good, _) = _drive(server, drive)
+        assert good.state == also_good.state == protocol.DONE
+        assert stats is not None and none is None
+        assert bad.state == protocol.FAILED
+        assert bad.error.kind == "bad-request"
+        assert "nosuchkernel" in bad.error.message
+        assert server.executor.totals()["sims_run"] == 2
+
     def test_graceful_drain_cancels_queued_jobs(self, tmp_path):
         """Shutdown with queued work: queued tickets go cancelled, the
         daemon drains without orphaned state."""
         server = _serve_fixture(tmp_path)
 
-        async def main():
-            await server.start()
-            # Stall the dispatcher so submissions stay queued.
-            await server.dispatcher.stop()
-            host, port = server.address
-            client = ServeClient(f"{host}:{port}")
-            decisions = await asyncio.to_thread(
-                client.submit, [JobSpec(kernel="gzip", scale=SCALE)])
-            assert decisions[0]["accepted"]
-            job_id = decisions[0]["id"]
-            server.request_shutdown()
-            await server.wait_stopped()
-            ticket = server._tickets[job_id]
-            return ticket
+        def drive(client):
+            [decision] = client.submit([RunSpec("gzip", SCALE)])
+            assert decision["accepted"]
+            return decision["id"]
 
-        ticket = asyncio.run(main())
+        ticket = server._tickets[_held(server, drive)]
         assert ticket.state == protocol.CANCELLED
         assert ticket.error.kind == "cancelled"
 
     def test_backpressure_rejects_when_full(self, tmp_path):
         server = _serve_fixture(tmp_path, queue_depth=1)
 
-        async def main():
-            await server.start()
-            await server.dispatcher.stop()   # nothing leaves the queue
-            host, port = server.address
-            client = ServeClient(f"{host}:{port}")
+        def drive(client):
+            first = client.submit([RunSpec("gzip", SCALE)])
+            second = client.submit([RunSpec("mcf", SCALE)])
+            twin = client.submit([RunSpec("gzip", SCALE)])
+            return first, second, twin
 
-            def drive():
-                first = client.submit(
-                    [JobSpec(kernel="gzip", scale=SCALE)])
-                second = client.submit(
-                    [JobSpec(kernel="mcf", scale=SCALE)])
-                third = client.submit(
-                    [JobSpec(kernel="vpr", scale=SCALE,
-                             priority="interactive")])
-                return first, second, third
-
-            out = await asyncio.to_thread(drive)
-            server.request_shutdown()
-            await server.wait_stopped()
-            return out
-
-        first, second, third = asyncio.run(main())
+        first, second, twin = _held(server, drive)
         assert first[0]["accepted"]
         assert not second[0]["accepted"]
         assert second[0]["error"]["kind"] == "rejected"
         assert second[0]["error"]["retry_after"] > 0
-        # interactive displaces the queued sweep job instead
-        assert third[0]["accepted"]
-        assert server.metrics.counters["jobs_shed"] == 1
+        # A full queue still lets a twin fan in: it adds no work.
+        assert twin[0]["accepted"] and twin[0]["coalesced"]
         assert server.metrics.counters["jobs_rejected"] == 1
+        assert server.metrics.counters["jobs_coalesced"] == 1
 
     def test_cancel_endpoint(self, tmp_path):
-        server = _serve_fixture(tmp_path)
+        def drive(client):
+            [d] = client.submit([RunSpec("gzip", SCALE)])
+            assert client.cancel(d["id"])
+            return client.status(d["id"])
 
-        async def main():
-            await server.start()
-            await server.dispatcher.stop()
-            host, port = server.address
-            client = ServeClient(f"{host}:{port}")
-
-            def drive():
-                [d] = client.submit([JobSpec(kernel="gzip", scale=SCALE)])
-                assert client.cancel(d["id"])
-                return client.status(d["id"])
-
-            st = await asyncio.to_thread(drive)
-            server.request_shutdown()
-            await server.wait_stopped()
-            return st
-
-        st = asyncio.run(main())
+        st = _held(_serve_fixture(tmp_path), drive)
         assert st.state == protocol.CANCELLED
 
 
@@ -472,7 +497,7 @@ class TestRemoteRunner:
         def drive(client):
             runner = RemoteRunner(client.base_url, scale=SCALE, seed=SEED,
                                   keep_going=True)
-            out = runner.run_many([("nosuchkernel", ProcessorConfig())])
+            out = runner.run_many([RunSpec("nosuchkernel", SCALE, SEED)])
             return out, runner
 
         out, runner = _drive(_serve_fixture(tmp_path), drive)
@@ -511,8 +536,8 @@ class TestCrashRecovery:
 
         jpath = str(tmp_path / "journal.jsonl")
         cfg = ProcessorConfig()
-        done_spec = JobSpec(kernel="gzip", scale=SCALE, seed=SEED)
-        lost_spec = JobSpec(kernel="mcf", scale=SCALE, seed=SEED)
+        done_spec = RunSpec(kernel="gzip", scale=SCALE, seed=SEED)
+        lost_spec = RunSpec(kernel="mcf", scale=SCALE, seed=SEED)
         expected = {
             "gzip": run_kernel("gzip", cfg, scale=SCALE, seed=SEED),
             "mcf": run_kernel("mcf", cfg, scale=SCALE, seed=SEED),
@@ -572,7 +597,7 @@ class TestCrashRecovery:
 
         def drive(client):
             [(status, _)] = client.run(
-                [JobSpec(kernel="gzip", scale=SCALE, seed=SEED)])
+                [RunSpec(kernel="gzip", scale=SCALE, seed=SEED)])
             return status
 
         status = _drive(server, drive)
@@ -599,36 +624,98 @@ class TestCrashRecovery:
 
         assert _drive(server, drive)
 
-    def test_open_breaker_refuses_sweeps_admits_interactive(self, tmp_path):
+    def test_open_breaker_refuses_new_work_until_cooldown(self, tmp_path):
         from repro.serve.protocol import ErrorInfo
         from repro.serve.scheduler import PoolSupervisor
 
-        server = _serve_fixture(tmp_path)
+        clock = {"now": 0.0}
+        sup = PoolSupervisor(max_restarts=1, cooldown=10.0,
+                             clock=lambda: clock["now"])
+        server = _serve_fixture(tmp_path, supervisor=sup)
+        gzip = RunSpec("gzip", SCALE, SEED)
+        mcf = RunSpec("mcf", SCALE, SEED)
+
+        async def main():
+            await server.start()
+            await server.dispatcher.stop()       # hold the queue
+            host, port = server.address
+            client = ServeClient(f"{host}:{port}")
+
+            def submit(spec):
+                return asyncio.to_thread(client.submit, [spec])
+
+            [queued] = await submit(gzip)
+            assert queued["accepted"]
+            while sup.note_transient():          # trip the breaker
+                pass
+            assert sup.state == PoolSupervisor.OPEN
+
+            [refused] = await submit(mcf)
+            assert not refused["accepted"]
+            err = ErrorInfo.from_dict(refused["error"])
+            assert err.kind == "degraded"
+            assert 0 < err.retry_after <= 10.0
+            # No new work: a twin of the queued job still fans in.
+            [twin] = await submit(gzip)
+            assert twin["accepted"] and twin["coalesced"]
+
+            clock["now"] = 10.5                  # cooldown elapsed
+            [probe] = await submit(mcf)
+            assert probe["accepted"] and not probe["coalesced"]
+
+            # Release the queue: the half-open probe batch runs and its
+            # healthy outcome closes the breaker.
+            server.dispatcher._stopping = False
+            server.dispatcher.start()
+            outcomes = await asyncio.to_thread(client.run, [gzip, mcf])
+            server.request_shutdown()
+            await server.wait_stopped()
+            return outcomes
+
+        outcomes = asyncio.run(main())
+        assert [st.state for st, _ in outcomes] == [protocol.DONE] * 2
+        assert sup.state == PoolSupervisor.OK
+        assert server.metrics.counters["jobs_rejected_degraded"] == 1
+        assert server.executor.totals()["sims_run"] == 2
+
+    def test_replays_journal_written_by_v1_server(self, tmp_path):
+        """A v1 ``accepted`` record carries ``priority``/``client`` in
+        its spec: startup closes it as unreplayable, the server comes
+        up healthy, and a resubmission runs the job exactly once."""
+        from repro.serve.journal import JobJournal, replay_journal
+
+        jpath = str(tmp_path / "journal.jsonl")
+        spec = RunSpec("gzip", SCALE, SEED)
+        key = spec.cache_key()
+        v1_spec = dict(protocol.wire_dict(spec), priority="sweep",
+                       client="cli-123")
+        old = JobJournal(jpath)
+        old.note_server_start()
+        old.note_accepted(key, v1_spec)
+        old.note_started([key])
+        old.close()
+
+        server = _serve_fixture(tmp_path, journal=jpath)
 
         def drive(client):
-            server.supervisor.state = PoolSupervisor.OPEN
-            server.supervisor._opened_at = server.supervisor._clock()
-            sweep = JobSpec(kernel="gzip", scale=SCALE, seed=SEED,
-                            priority="sweep")
-            [decision] = client.submit([sweep])
-            assert not decision.get("accepted")
-            err = ErrorInfo.from_dict(decision.get("error"))
-            assert err.kind == "degraded"
-            assert err.retry_after > 0
+            health = client.health()
+            [(status, stats)] = client.run([spec])
+            return health, status, stats
 
-            # An interactive probe drains, and its healthy outcome
-            # closes the breaker (the half-open probe path).
-            probe = JobSpec(kernel="gzip", scale=SCALE, seed=SEED,
-                            priority="interactive")
-            [(status, _)] = client.run([probe])
-            assert status.state == protocol.DONE
-            assert server.supervisor.state == PoolSupervisor.OK
-
-            [decision] = client.submit([sweep])
-            return decision
-
-        decision = _drive(server, drive)
-        assert decision.get("accepted")
+        health, status, stats = _drive(server, drive)
+        assert list(server.journal_replay.incomplete) == [key]
+        assert server.metrics.counters["jobs_replayed"] == 0
+        with open(jpath, encoding="utf-8") as fh:
+            records = [json.loads(line)["record"] for line in fh]
+        [closed] = [r for r in records if r["event"] == "cancelled"]
+        assert closed["key"] == key
+        assert closed["reason"].startswith("unreplayable spec")
+        assert health["status"] == "ok"
+        assert status.state == protocol.DONE
+        assert SimStats.from_dict(stats) == run_kernel(
+            "gzip", ProcessorConfig(), scale=SCALE, seed=SEED)
+        assert server.executor.totals()["sims_run"] == 1
+        assert replay_journal(jpath, quarantine=False).consistent
 
     def test_chaos_drop_reconnects_and_coalesces(self, tmp_path):
         """A connection cut after the submit is sent must not lose or
@@ -653,7 +740,7 @@ class TestCrashRecovery:
 
             client.chaos_drop = drop
             [(status, stats)] = client.run(
-                [JobSpec(kernel="gzip", scale=SCALE, seed=SEED)])
+                [RunSpec(kernel="gzip", scale=SCALE, seed=SEED)])
             assert drops == {"submit": 0, "poll": 0}   # both fired
             assert status.state == protocol.DONE
             return stats
@@ -680,11 +767,10 @@ class TestPoolSupervisor:
         assert sup.note_transient() is False      # third strike trips
         assert sup.state == PoolSupervisor.OPEN
         assert sup.trips == 1
-        assert not sup.allows("sweep")
-        assert sup.allows("interactive")
+        assert not sup.allows()
         assert 0.5 <= sup.retry_after() <= 10.0
         clock["now"] = 10.5                        # cooldown elapsed
-        assert sup.allows("sweep")                 # half-open
+        assert sup.allows()                        # half-open
         sup.note_ok()
         assert sup.state == PoolSupervisor.OK
         assert sup.consecutive == 0
