@@ -70,8 +70,8 @@ class MechanismPipeline(MechanismHooks):
         self.spec_mem: Optional[SpecDataMemory] = None
         if cfg.spec_mem_size is not None:
             self.spec_mem = SpecDataMemory(
-                cfg.spec_mem_size, cfg.spec_mem_latency,
-                cfg.spec_mem_read_ports, cfg.spec_mem_write_ports)
+                cfg.spec_mem_latency, cfg.spec_mem_read_ports,
+                cfg.spec_mem_write_ports)
         # Build + attach components in dependency order: the selector
         # reads the tracker, the replica manager reads the selector.
         components = build_components(spec, cfg)

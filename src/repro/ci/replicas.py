@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from ..isa.predecode import F_LOAD, F_WRITES_REG
+from ..uarch.rename import FreeList
 from .srsmt import SCALAR, SELF, VEC, Operand, ReplicaScheduler, SRSMT, SRSMTEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,6 +59,13 @@ class ReplicaManager:
         self.scheduler = ReplicaScheduler(
             load_latency=core.hierarchy.load_latency,
             mem_read=lambda addr: core.mem.get(addr, 0))
+        #: the speculative data memory's positions (Section 2.4.6), a
+        #: second capacity pool with its own slack proof (DESIGN §9.7);
+        #: ``None`` when replicas draw from the register file
+        self._positions = None
+        if pipeline.spec_mem is not None:
+            self._positions = FreeList(cfg.spec_mem_size)
+            self.stats.spec_mem_slack = cfg.spec_mem_size
         self._vect_wait = False
         #: scalar registers charged per replica (2 for the vect comparator)
         self._vect_factor = 2 if self.greedy else 1
@@ -89,11 +97,12 @@ class ReplicaManager:
             # Injected allocation pressure: refuse this batch outright.
             # Callers take their normal "no-regs" failure path.
             return 0
-        spec_mem = self.pipeline.spec_mem
-        if spec_mem is not None:
-            got = spec_mem.alloc_up_to(want)
+        positions = self._positions
+        if positions is not None:
+            got = positions.alloc_up_to(want)
             if got < want:
                 self.stats.spec_mem_alloc_failures += 1
+            self.stats.spec_mem_slack = positions.slack
             return got
         fl = self.core.freelist
         if self.greedy:
@@ -122,9 +131,9 @@ class ReplicaManager:
     def _release_regs(self, n: int) -> None:
         if n <= 0:
             return
-        spec_mem = self.pipeline.spec_mem
-        if spec_mem is not None:
-            spec_mem.release(n)
+        positions = self._positions
+        if positions is not None:
+            positions.release(n)
         else:
             self.core.freelist.release(n)
 

@@ -11,39 +11,25 @@ inserted when a validation instruction reaches decode; dependents of the
 validated instruction become dependents of the copy.  The timing model
 charges the copy path as extra latency on the validated instruction's
 result availability and applies per-cycle read-port contention.
+
+The memory's positions are a :class:`~repro.uarch.rename.FreeList` owned
+by the replica manager, which records the capacity proof of DESIGN §9.7
+(``SimStats.spec_mem_slack``); this class models latency and ports only.
 """
 
 from __future__ import annotations
 
 
 class SpecDataMemory:
-    """Capacity pool + port bookkeeping for the speculative data memory."""
+    """Latency + port bookkeeping for the speculative data memory."""
 
-    def __init__(self, positions: int, latency: int = 2,
-                 read_ports: int = 2, write_ports: int = 2):
-        self.capacity = positions
-        self.free = positions
+    def __init__(self, latency: int = 2, read_ports: int = 2,
+                 write_ports: int = 2):
         self.latency = latency
         self.read_ports = read_ports
         self.write_ports = write_ports
         self._cycle = -1
         self._reads_this_cycle = 0
-        self.alloc_failures = 0
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self.free
-
-    def alloc_up_to(self, n: int) -> int:
-        got = min(self.free, n)
-        self.free -= got
-        if got == 0 and n > 0:
-            self.alloc_failures += 1
-        return got
-
-    def release(self, n: int) -> None:
-        self.free += n
-        assert self.free <= self.capacity, "spec-mem double release"
 
     def copy_latency(self, cycle: int) -> int:
         """Latency of one validation copy issued at ``cycle``.

@@ -132,7 +132,6 @@ class SRSMT:
                  release: Optional[Callable[["SRSMTEntry"], None]] = None):
         self.table: SetAssocTable[SRSMTEntry] = SetAssocTable(sets, ways)
         self.release = release or (lambda e: None)
-        self.alloc_failures = 0
         #: flat pc → entry mirror of the table.  ``lookup`` runs on the
         #: per-dispatch hot path; the set-associative walk only matters
         #: for capacity and eviction policy, so reads take the flat path.
@@ -165,7 +164,6 @@ class SRSMT:
                     victim = e
                     break
             if victim is None:
-                self.alloc_failures += 1
                 return False
             self.deallocate(victim)
         self.table.insert(entry.pc, entry)
@@ -220,7 +218,6 @@ class ReplicaScheduler:
         self._serial = 0
         self.load_latency = load_latency
         self.mem_read = mem_read
-        self.executed = 0
         #: operand-blocked replicas parked off the scan path, keyed by the
         #: producer replica they wait on: (id(producer_entry), replica_idx)
         #: → items.  A drained completion for that replica re-activates
@@ -384,7 +381,6 @@ class ReplicaScheduler:
             entry.issue += 1
             issued += 1
             writes += 1
-            self.executed += 1
             stats.replicas_executed += 1
             self._tick += 1
             heapq.heappush(self.completions,

@@ -1,11 +1,16 @@
 """Experiment harness: one module per reproduced table/figure.
 
-``generate_report()`` runs every experiment (sharing one memoised runner)
-and returns the full text report used to build EXPERIMENTS.md.
+Each module declares its simulation matrix as ``SWEEP`` and turns the
+resolved :class:`SweepResult` into a :class:`Figure` with ``render``;
+``compute(runner)`` does both for one figure.  ``generate_report()``
+resolves every figure's sweep as ONE batch and renders each figure from
+its own slice, returning the full text report used to build
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+from types import ModuleType
 from typing import Callable, Dict, List, Optional
 
 from . import ablations, fig04, fig05, fig08, fig09, fig10, fig11, fig12, fig13, fig14, intext
@@ -18,29 +23,37 @@ from .common import (
     default_runner,
     reg_label,
 )
-from .sweeps import SweepResult, SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep, run_sweeps
 
-#: experiment id -> compute function, in the paper's presentation order
-ALL_EXPERIMENTS: Dict[str, Callable[..., Figure]] = {
-    "fig04": fig04.compute,
-    "fig05": fig05.compute,
-    "fig08": fig08.compute,
-    "fig09": fig09.compute,
-    "fig10": fig10.compute,
-    "fig11": fig11.compute,
-    "fig12": fig12.compute,
-    "fig13": fig13.compute,
-    "fig14": fig14.compute,
-    "intext": intext.compute,
+#: experiment id -> module (``SWEEP`` + ``render``), in the paper's
+#: presentation order
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "fig04": fig04,
+    "fig05": fig05,
+    "fig08": fig08,
+    "fig09": fig09,
+    "fig10": fig10,
+    "fig11": fig11,
+    "fig12": fig12,
+    "fig13": fig13,
+    "fig14": fig14,
+    "intext": intext,
 }
+
+#: experiment id -> compute function (one figure, one batch)
+ALL_EXPERIMENTS: Dict[str, Callable[..., Figure]] = {
+    key: module.compute for key, module in EXPERIMENTS.items()}
 
 #: design-choice ablations (not paper figures; see ablations.py)
 ALL_ABLATIONS = ablations.ALL_ABLATIONS
 
 
 def run_all(runner: Optional[Runner] = None) -> Dict[str, Figure]:
+    """Every experiment, its sweeps resolved as one batch."""
     runner = runner or default_runner()
-    return {key: fn(runner) for key, fn in ALL_EXPERIMENTS.items()}
+    results = run_sweeps(runner, [m.SWEEP for m in EXPERIMENTS.values()])
+    return {key: module.render(result)
+            for (key, module), result in zip(EXPERIMENTS.items(), results)}
 
 
 def generate_report(runner: Optional[Runner] = None) -> str:
@@ -58,6 +71,7 @@ def generate_report(runner: Optional[Runner] = None) -> str:
 __all__ = [
     "ALL_ABLATIONS",
     "ALL_EXPERIMENTS",
+    "EXPERIMENTS",
     "Check",
     "EXPERIMENT_SCALE",
     "Figure",
@@ -70,4 +84,5 @@ __all__ = [
     "reg_label",
     "run_all",
     "run_sweep",
+    "run_sweeps",
 ]

@@ -13,7 +13,7 @@ from ..analysis import harmonic_mean
 from ..uarch.config import ci
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SLOT_COUNTS = (1, 2, 4)
 BASE = ci(ports=2, regs=512)
@@ -24,8 +24,10 @@ SWEEP = SweepSpec("fig04", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     per_kernel = {
         name: {n: result.ipc(f"{n}PC", name) for n in SLOT_COUNTS}
         for name in kernel_names()

@@ -14,7 +14,7 @@ from ..analysis import aggregate_breakdown, ci_breakdown
 from ..uarch.config import ci
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFG = ci(ports=1, regs=512)
 
@@ -22,8 +22,11 @@ SWEEP = SweepSpec("fig05", (("ci", CFG),))
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    stats = run_sweep(runner, SWEEP).suite("ci")
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
+    stats = result.suite("ci")
     rows = []
     for name in kernel_names():
         b = ci_breakdown(stats[name])

@@ -12,7 +12,7 @@ from typing import Optional
 from ..uarch.config import ci, scal, wb
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CONFIGS = [
     ("scal1p", scal(1, 512)),
@@ -27,8 +27,11 @@ SWEEP = SweepSpec("fig08", tuple(CONFIGS))
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    per_cfg = run_sweep(runner, SWEEP).stats
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
+    per_cfg = result.stats
     rows = []
     for name in kernel_names():
         rows.append([name] + [per_cfg[label][name].l1d_accesses

@@ -19,7 +19,7 @@ from .common import (
     monotone_nondecreasing,
     reg_label,
 )
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SERIES = [
     ("scal1p", lambda regs: scal(1, regs)),
@@ -36,8 +36,10 @@ SWEEP = SweepSpec("fig09", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     data: Dict[str, Dict[int, float]] = {
         label: {regs: result.hmean_ipc(f"{label}@{regs}")
                 for regs in REG_POINTS}

@@ -13,7 +13,7 @@ from ..analysis import harmonic_mean
 from ..uarch.config import ci, scal, wb
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CONFIGS = [
     ("scal", scal(1, 512)),
@@ -26,8 +26,11 @@ SWEEP = SweepSpec("fig10", tuple(CONFIGS))
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    per_cfg = run_sweep(runner, SWEEP).stats
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
+    per_cfg = result.stats
     rows = []
     for name in kernel_names():
         rows.append([name] + [per_cfg[label][name].ipc

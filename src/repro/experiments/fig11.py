@@ -11,7 +11,7 @@ from typing import Dict, Optional
 
 from ..uarch.config import ci, scal, wb
 from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 REPLICA_COUNTS = (1, 2, 4, 8)
 
@@ -23,8 +23,10 @@ SWEEP = SweepSpec("fig11", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     data: Dict[str, Dict[int, float]] = {"sc": {}, "wb": {}}
     for regs in REG_POINTS:
         data["sc"][regs] = result.hmean_ipc(f"sc@{regs}")

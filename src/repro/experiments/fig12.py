@@ -17,7 +17,7 @@ from ..analysis import commit_breakdown
 from ..uarch.config import ci
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFGS = {2: ci(1, 512, replicas=2), 4: ci(1, 512, replicas=4)}
 
@@ -26,8 +26,10 @@ SWEEP = SweepSpec("fig12", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     per_n = {n: result.suite(f"{n}rep") for n in CFGS}
     rows = []
     agg = {n: [0, 0, 0, 0] for n in CFGS}

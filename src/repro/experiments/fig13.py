@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from ..uarch.config import INF_REGS, ci, scal, wb, with_spec_mem
 from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SPEC_SIZES = (128, 256, 512, 768)
 
@@ -25,8 +25,10 @@ SWEEP = SweepSpec("fig13", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     data: Dict[str, Dict[int, float]] = {
         label: {regs: result.hmean_ipc(f"{label}@{regs}")
                 for regs in REG_POINTS}

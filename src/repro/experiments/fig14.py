@@ -12,7 +12,7 @@ from typing import Dict, Optional
 from ..uarch.config import ci
 from ..workloads import kernel_names
 from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SWEEP = SweepSpec("fig14", tuple(
     [(f"ci@{regs}", ci(2, regs)) for regs in REG_POINTS]
@@ -22,8 +22,10 @@ SWEEP = SweepSpec("fig14", tuple(
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
-    result = run_sweep(runner, SWEEP)
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     data: Dict[str, Dict[int, float]] = {
         "ci": {regs: result.hmean_ipc(f"ci@{regs}")
                for regs in REG_POINTS},

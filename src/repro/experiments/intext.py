@@ -16,7 +16,7 @@ from typing import Optional
 from ..uarch.config import INF_REGS, ci
 from ..workloads import kernel_names
 from .common import Check, Figure, Runner, default_runner
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFG_INF = ci(1, INF_REGS)
 
@@ -29,10 +29,12 @@ SWEEP = SweepSpec("intext", (
 
 
 def compute(runner: Optional[Runner] = None) -> Figure:
-    runner = runner or default_runner()
+    return render(run_sweep(runner or default_runner(), SWEEP))
+
+
+def render(result: SweepResult) -> Figure:
     n = len(kernel_names())
 
-    result = run_sweep(runner, SWEEP)
     with_daec = result.suite("daec-on")
     without_daec = result.suite("daec-off")
     regs_with = sum(s.avg_regs_in_use for s in with_daec.values()) / n

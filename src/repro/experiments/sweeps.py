@@ -11,14 +11,16 @@ the same vocabulary the pool, cache and serve layers speak.
 :func:`run_sweep` resolves the entire matrix as ONE ``run_many`` batch
 (maximal pool fan-out; memo/disk/coalescing still deduplicate repeated
 points across sweeps) and returns a :class:`SweepResult` the module's
-render function reads.  Stats are deterministic, so rendering from a
-sweep result is byte-identical to the historical per-config loops.
+render function reads; :func:`run_sweeps` does the same for several
+sweeps at once (the full report).  Stats are deterministic, so
+rendering from a sweep result is byte-identical to the historical
+per-config loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis import harmonic_mean
 from ..runtime import RunSpec
@@ -77,10 +79,27 @@ class SweepResult:
 
 def run_sweep(runner: Runner, sweep: SweepSpec) -> SweepResult:
     """Resolve a whole sweep as one order-preserving batch."""
-    kernels = sweep.kernel_list()
-    flat = runner.run_many(sweep.specs(runner.scale, runner.seed))
-    stats: Dict[str, Dict[str, SimStats]] = {}
-    for i, (label, _) in enumerate(sweep.series):
-        group = flat[i * len(kernels):(i + 1) * len(kernels)]
-        stats[label] = dict(zip(kernels, group))
-    return SweepResult(sweep, stats)
+    return run_sweeps(runner, [sweep])[0]
+
+
+def run_sweeps(runner: Runner,
+               sweeps: Sequence[SweepSpec]) -> List[SweepResult]:
+    """Resolve several sweeps as ONE batch, each result from its own
+    slice.
+
+    A point shared between sweeps is resolved once, and capacity
+    derivation sees every sibling of the whole batch (DESIGN §9.7).
+    """
+    flat = runner.run_many([spec for sweep in sweeps
+                            for spec in sweep.specs(runner.scale,
+                                                    runner.seed)])
+    results: List[SweepResult] = []
+    at = 0
+    for sweep in sweeps:
+        kernels = sweep.kernel_list()
+        stats: Dict[str, Dict[str, SimStats]] = {}
+        for label, _ in sweep.series:
+            stats[label] = dict(zip(kernels, flat[at:at + len(kernels)]))
+            at += len(kernels)
+        results.append(SweepResult(sweep, stats))
+    return results

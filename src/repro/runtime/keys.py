@@ -12,8 +12,8 @@ the serve layer's coalescing index and a JSON-round-tripped
   executes the *predecoded* program, so predecode-layer changes
   invalidate cached results even when the instruction stream does not);
 * :func:`config_token` — the canonical string form of a
-  :class:`~repro.uarch.ProcessorConfig` (and, without ``phys_regs``,
-  the register-file sweep group of :func:`regs_group`);
+  :class:`~repro.uarch.ProcessorConfig` (and, without its capacities,
+  the sweep group of :func:`capacity_group`);
 * :func:`job_key` — the schema-versioned cache key of one
   (program, config, scale, seed) simulation;
 * :func:`run_key` — :func:`job_key` for a :class:`RunSpec`, folding in
@@ -68,21 +68,29 @@ def config_token(cfg: "ProcessorConfig", omit: Tuple[str, ...] = ()) -> str:
     Built shallowly from the instance dicts, which hold exactly the
     fields of these frozen dataclasses: ``dataclasses.asdict`` deep-copies
     every value, and the only nested values are the ``CacheConfig``
-    levels.  ``omit`` leaves fields out (:func:`regs_group`)."""
+    levels.  ``omit`` leaves fields out (:func:`capacity_group`)."""
     values = {name: vars(value) if name in _CACHE_LEVELS else value
               for name, value in vars(cfg).items() if name not in omit}
     return json.dumps(values, sort_keys=True, default=str)
 
 
-def regs_group(spec: "RunSpec") -> Tuple[tuple, int]:
-    """``(group, phys_regs)`` for register-file derivation.
+#: the configuration fields that size a capacity pool (DESIGN §9.7)
+CAPACITIES = ("phys_regs", "spec_mem_size")
 
-    Runs in one group differ only in ``phys_regs``: same program point,
-    same resolved config otherwise (DESIGN §9.7).
+
+def capacity_group(spec: "RunSpec") -> Tuple[tuple, Tuple[int, int]]:
+    """``(group, (phys_regs, spec_mem_size))`` for capacity derivation.
+
+    Runs in one group differ only in their capacities: same program
+    point, same resolved config otherwise, and either all or none have a
+    speculative data memory (DESIGN §9.7).  Without one the spec-memory
+    capacity is 0 and never differs within the group.
     """
     cfg = spec.resolved_cfg()
+    spec_mem = cfg.spec_mem_size
     return ((spec.kernel, spec.scale, spec.seed,
-             config_token(cfg, omit=("phys_regs",))), cfg.phys_regs)
+             config_token(cfg, omit=CAPACITIES), spec_mem is not None),
+            (cfg.phys_regs, spec_mem or 0))
 
 
 def program_fingerprint(program: "Program") -> str:

@@ -31,8 +31,9 @@ Results are shared at three levels: an in-process memo (same object
 returned for repeat queries, which downstream code relies on), the
 persistent on-disk :class:`~repro.runtime.cache.ResultCache`, and the
 pool itself (duplicate jobs within one batch are submitted once).  A
-register-file sweep point is also answered without simulating when a
-larger sibling's free list provably never bound (DESIGN §9.7).
+capacity sweep point (register file, speculative data memory) is also
+answered without simulating when a larger sibling's pools provably
+never bound (DESIGN §9.7).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..uarch import ProcessorConfig, SimStats
 from .cache import ResultCache
-from .keys import cached_program, regs_group, run_key
+from .keys import cached_program, capacity_group, run_key
 from .spec import RunSpec
 
 
@@ -484,7 +485,7 @@ def _env_truthy(name: str) -> bool:
 
 
 def _derivable(spec: RunSpec) -> bool:
-    """May this run take part in register-file derivation?  Observed,
+    """May this run take part in capacity derivation?  Observed,
     faulted and sampled runs are always simulated."""
     return spec.observe is None and spec.faults is None \
         and spec.sampling is None
@@ -503,7 +504,7 @@ class ParallelRunner:
 
     The resolution order for one (kernel, config) point is: in-process
     memo, then the persistent disk cache, then derivation from a larger
-    register file that provably never bound (DESIGN §9.7), then
+    sibling whose capacity pools provably never bound (DESIGN §9.7), then
     simulation (fanned out over the pool when a batch has more than one
     miss and ``jobs > 1``).  ``memo_hits`` / ``disk_hits`` / ``derived``
     / ``sims_run`` count those outcomes so callers can report "zero new
@@ -554,10 +555,11 @@ class ParallelRunner:
         #: table.
         self.sources: Dict[object, str] = {}
         self._memo: Dict[str, SimStats] = {}
-        #: register-file derivation (DESIGN §9.7): resolved plain runs by
-        #: sweep group, then by ``phys_regs``; ``_unindexed`` holds the
+        #: capacity derivation (DESIGN §9.7): resolved plain runs by
+        #: sweep group, then by capacity vector; ``_unindexed`` holds the
         #: runs not yet grouped
-        self._regs_index: Dict[tuple, Dict[int, SimStats]] = {}
+        self._capacity_index: Dict[tuple, Dict[Tuple[int, int],
+                                               SimStats]] = {}
         self._unindexed: List[Tuple[RunSpec, SimStats]] = []
         self.memo_hits = 0
         self.disk_hits = 0
@@ -690,25 +692,25 @@ class ParallelRunner:
 
     def _simulate(self, pending: List[Tuple[object, object, RunSpec]],
                   resolved: Dict[object, SimStats]) -> None:
-        """Simulate ``pending`` in waves, answering each register-file
-        sweep point that a resolved sibling's ``regs_slack`` covers
-        instead of simulating it (DESIGN §9.7).
+        """Simulate ``pending`` in waves, answering each capacity sweep
+        point that a resolved sibling's slack covers instead of
+        simulating it (DESIGN §9.7).
 
         The first wave holds every run that can never be derived; each
-        wave adds the largest register file left in each sweep group, so
-        every simulation is a candidate source for its smaller siblings.
-        Failures are collected across waves: under ``keep_going`` they
-        become placeholders, otherwise one :class:`WorkerError` names
-        them all once every wave has run.
+        wave adds the lexicographically largest capacity vector left in
+        each sweep group, so every simulation is a candidate source for
+        its smaller siblings.  Failures are collected across waves:
+        under ``keep_going`` they become placeholders, otherwise one
+        :class:`WorkerError` names them all once every wave has run.
         """
-        groups: Dict[tuple, List[Tuple[int, Tuple[object, object,
-                                                   RunSpec]]]] = {}
+        groups: Dict[tuple, List[Tuple[Tuple[int, int],
+                                       Tuple[object, object, RunSpec]]]] = {}
         wave: List[Tuple[object, object, RunSpec]] = []
         for item in pending:
             ident, _, spec = item
             if isinstance(ident, str) and _derivable(spec):
-                group, regs = regs_group(spec)
-                groups.setdefault(group, []).append((regs, item))
+                group, caps = capacity_group(spec)
+                groups.setdefault(group, []).append((caps, item))
             else:
                 wave.append(item)
         for members in groups.values():
@@ -718,10 +720,10 @@ class ParallelRunner:
             if groups:
                 self._flush_index()
             for group, members in groups.items():
-                siblings = self._regs_index.get(group)
+                siblings = self._capacity_index.get(group)
                 if siblings:
-                    members[:] = [(regs, item) for regs, item in members
-                                  if not self._derive(siblings, regs, item,
+                    members[:] = [(caps, item) for caps, item in members
+                                  if not self._derive(siblings, caps, item,
                                                       resolved)]
                 if members:
                     wave.append(members.pop()[1])
@@ -756,34 +758,40 @@ class ParallelRunner:
         if failures and not self.keep_going:
             raise WorkerError(aggregate_failure_report(failures))
 
-    def _derive(self, siblings: Dict[int, SimStats], regs: int,
+    def _derive(self, siblings: Dict[Tuple[int, int], SimStats],
+                caps: Tuple[int, int],
                 item: Tuple[object, object, RunSpec],
                 resolved: Dict[object, SimStats]) -> bool:
-        """Answer ``item`` from a larger sibling whose slack covers it.
+        """Answer ``item`` from a sibling at least as large in both
+        pools, each gap within that pool's slack.
 
-        The answer is the sibling's stats with ``regs_slack`` reduced by
-        the size difference — exactly what simulating it would return.
-        It goes to the memo only: never to disk, never counted as a
-        simulation (a warm run re-derives it from the cached sibling).
+        The answer is the sibling's stats with each slack reduced by its
+        gap — exactly what simulating it would return.  It goes to the
+        memo only: never to disk, never counted as a simulation (a warm
+        run re-derives it from the cached sibling).
         """
-        for src_regs, src in siblings.items():
-            gap = src_regs - regs
-            if 0 < gap <= src.regs_slack:
+        regs, positions = caps
+        for (src_regs, src_positions), src in siblings.items():
+            gap_regs = src_regs - regs
+            gap_positions = src_positions - positions
+            if 0 <= gap_regs <= src.regs_slack \
+                    and 0 <= gap_positions <= src.spec_mem_slack:
                 break
         else:
             return False
         ident, point, spec = item
-        st = replace(src, regs_slack=src.regs_slack - gap,
+        st = replace(src, regs_slack=src.regs_slack - gap_regs,
+                     spec_mem_slack=src.spec_mem_slack - gap_positions,
                      interval_committed=list(src.interval_committed))
         self.derived += 1
         self._note_source(ident, point, spec, "derived")
         self._memo[ident] = resolved[ident] = st
-        siblings[regs] = st
+        siblings[caps] = st
         return True
 
     def _index(self, spec: RunSpec, st: SimStats) -> None:
         """Offer a resolved plain run as a source for smaller siblings."""
-        if _derivable(spec) and st.regs_slack > 0:
+        if _derivable(spec) and (st.regs_slack > 0 or st.spec_mem_slack > 0):
             self._unindexed.append((spec, st))
 
     def _flush_index(self) -> None:
@@ -791,8 +799,8 @@ class ParallelRunner:
         batch has sweep groups to derive, so other batches never
         compute group keys)."""
         for spec, st in self._unindexed:
-            group, regs = regs_group(spec)
-            self._regs_index.setdefault(group, {})[regs] = st
+            group, caps = capacity_group(spec)
+            self._capacity_index.setdefault(group, {})[caps] = st
         self._unindexed.clear()
 
     # -- observations ----------------------------------------------------

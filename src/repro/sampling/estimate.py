@@ -26,10 +26,10 @@ from .plan import SamplingError, SamplingPlan
 
 #: fields that are not additive counters: plan bookkeeping, provenance,
 #: the IPC-timeline knobs (an estimate has no contiguous timeline) and
-#: the register-file proof (an estimate proves nothing)
+#: the capacity proofs (an estimate proves nothing)
 _NON_ADDITIVE = {"interval_cycles", "interval_committed",
                  "sampled", "sample_intervals", "sample_rel_ci",
-                 "regs_slack"}
+                 "regs_slack", "spec_mem_slack"}
 
 #: fields combined by max, not extrapolated sums
 _PEAK = {"regs_in_use_peak"}

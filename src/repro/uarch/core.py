@@ -661,7 +661,6 @@ class Core:
                     if kind != K_LOAD and srcs else ()
                 inst.rename_undo = rename.snapshot_reg(rd)
                 rename.write(rd, inst, None, spcs)
-            inst.dispatch_cycle = cycle
             # -- schedule (K_JUMP/K_NOP/K_HALT complete unconditionally).
             if kind >= K_JUMP:
                 inst.issued = True

@@ -112,10 +112,8 @@ class FetchUnit:
                     if di.pred_taken:
                         next_pc = target_a[pc]
                         taken_seen += 1
-                    di.pred_next_pc = next_pc
                 elif ctrl == CTRL_JUMP:
                     next_pc = target_a[pc]
-                    di.pred_next_pc = next_pc
                     taken_seen += 1
             queue_append((ready_at, di))
             if obs is not None:

@@ -68,18 +68,22 @@ class RenameTable:
 
 
 class FreeList:
-    """Counted physical-register free list (values live with instructions).
+    """Counted capacity pool: the physical-register free list (values
+    live with instructions) or the speculative data memory's positions.
 
-    ``capacity`` is the number of registers available for renaming beyond
-    the 64 architectural ones.  The control-independence mechanism's
-    replicas draw from the same pool in monolithic mode (Section 2.4.2).
+    For registers, ``capacity`` is the number available for renaming
+    beyond the 64 architectural ones.  The control-independence
+    mechanism's replicas draw from the same pool in monolithic mode
+    (Section 2.4.2), and from a second ``FreeList`` sized
+    ``spec_mem_size`` when a speculative data memory holds them
+    (Section 2.4.6).
 
-    ``slack`` is the proof behind register-file derivation (DESIGN
-    §9.7): every allocation decision so far had at least ``slack``
-    registers to spare, so a file up to ``slack`` registers smaller
-    would have decided each one the same way, with ``free`` lower by a
-    constant.  Every read of ``free`` that steers the machine goes
-    through a method below, each recording its margin.
+    ``slack`` is the proof behind capacity derivation (DESIGN §9.7):
+    every allocation decision so far had at least ``slack`` entries to
+    spare, so a pool up to ``slack`` entries smaller would have decided
+    each one the same way, with ``free`` lower by a constant.  Every
+    read of ``free`` that steers the machine goes through a method
+    below, each recording its margin.
     """
 
     def __init__(self, capacity: int):

@@ -35,10 +35,10 @@ class DynInst:
         # functional
         "result", "eff_addr", "actual_taken", "actual_next_pc",
         # branch prediction
-        "pred_taken", "pred_next_pc", "bp_history",
+        "pred_taken", "bp_history",
         # timing
         "num_pending", "consumers", "issued", "done", "done_cycle",
-        "dispatch_cycle", "in_ready",
+        "in_ready",
         # undo records
         "rename_undo", "mem_old", "reg_allocated", "sreg_old",
         # lifecycle
@@ -46,7 +46,7 @@ class DynInst:
         # memory dependence
         "forward_store",
         # control-independence mechanism
-        "validated", "validated_entry", "srcs_vect", "hard_branch",
+        "validated", "validated_entry", "hard_branch",
         "commit_ready_at",
     )
 
@@ -59,14 +59,12 @@ class DynInst:
         self.actual_taken: Optional[bool] = None
         self.actual_next_pc: int = instr.pc + 1
         self.pred_taken: Optional[bool] = None
-        self.pred_next_pc: int = instr.pc + 1
         self.bp_history: int = 0
         self.num_pending = 0
         self.consumers: Optional[List["DynInst"]] = None
         self.issued = False
         self.done = False
         self.done_cycle = -1
-        self.dispatch_cycle = -1
         self.in_ready = False
         self.rename_undo: Optional[tuple] = None
         self.mem_old = MEM_ABSENT
@@ -77,7 +75,6 @@ class DynInst:
         self.forward_store: Optional["DynInst"] = None
         self.validated = False
         self.validated_entry = None
-        self.srcs_vect = None
         self.hard_branch = False
         #: validated instructions may commit before their copy µop finishes
         #: moving the value out of the speculative data memory

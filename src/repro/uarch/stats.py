@@ -94,6 +94,11 @@ class SimStats:
     #: no proof.  Like ``skipped_cycles`` it is simulator bookkeeping,
     #: kept out of ``as_dict``
     regs_slack: int = 0
+    #: the same proof for the speculative data memory's positions: a
+    #: memory up to this many positions smaller behaves identically.
+    #: 0 without a spec memory (there is nothing to shrink) and, like
+    #: ``regs_slack``, kept out of ``as_dict``
+    spec_mem_slack: int = 0
 
     #: provenance: True when these stats are a sampled *estimate*
     #: stitched from detailed intervals (repro.sampling.estimate), never
@@ -167,7 +172,7 @@ class SimStats:
         unchanged by the sampling subsystem's existence.
         """
         skip = {"interval_committed", "interval_cycles", "skipped_cycles",
-                "regs_slack"}
+                "regs_slack", "spec_mem_slack"}
         if not self.sampled:
             skip |= {"sampled", "sample_intervals", "sample_rel_ci"}
         d = {k: v for k, v in self.__dict__.items() if k not in skip}

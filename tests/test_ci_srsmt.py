@@ -79,7 +79,6 @@ class TestSRSMTTable:
         assert t.try_insert(busy)
         fresh = SRSMTEntry(1, load_instr(), 4)
         assert not t.try_insert(fresh)
-        assert t.alloc_failures == 1
         busy.decode = busy.commit = 2
         assert t.try_insert(fresh)
 

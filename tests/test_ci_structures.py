@@ -12,8 +12,11 @@ from repro.ci import (
     SquashReuseBuffer,
     StridePredictor,
 )
+from repro import hooks_for
 from repro.ci.assoc import SetAssocTable
 from repro.ci.mbs import COUNTER_MAX, COUNTER_MID
+from repro.uarch import Core, ci, with_spec_mem
+from repro.workloads import build_program
 
 
 class TestSetAssocTable:
@@ -256,26 +259,36 @@ class TestSquashReuse:
 
 
 class TestSpecDataMemory:
+    """Latency/ports live in ``SpecDataMemory``; its positions are the
+    replica manager's second ``FreeList``."""
+
+    @staticmethod
+    def replicas(positions):
+        cfg = with_spec_mem(ci(1), positions)
+        core = Core(cfg, build_program("bzip2", 0.05, 1),
+                    hooks=hooks_for(cfg))
+        return core.hooks.replicas
+
     def test_alloc_release(self):
-        m = SpecDataMemory(8)
-        assert m.alloc_up_to(5) == 5
-        assert m.alloc_up_to(5) == 3
-        m.release(8)
-        assert m.free == 8
+        m = self.replicas(8)
+        assert m._alloc_replicas(5) == 5
+        assert m._alloc_replicas(5) == 3
+        m._release_regs(8)
+        assert m._positions.free == 8
 
     def test_alloc_failure_counted(self):
-        m = SpecDataMemory(2)
-        m.alloc_up_to(2)
-        m.alloc_up_to(1)
-        assert m.alloc_failures == 1
+        m = self.replicas(2)
+        m._alloc_replicas(2)
+        m._alloc_replicas(1)
+        assert m.stats.spec_mem_alloc_failures == 1
 
     def test_copy_latency_port_queueing(self):
-        m = SpecDataMemory(8, latency=2, read_ports=2)
+        m = SpecDataMemory(latency=2, read_ports=2)
         lats = [m.copy_latency(10) for _ in range(5)]
         assert lats == [2, 2, 3, 3, 4]
         assert m.copy_latency(11) == 2  # new cycle resets the queue
 
     def test_double_release_asserts(self):
-        m = SpecDataMemory(1)
+        m = self.replicas(1)
         with pytest.raises(AssertionError):
-            m.release(1)
+            m._release_regs(1)
