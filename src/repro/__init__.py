@@ -13,7 +13,7 @@ See README.md for the full walkthrough and DESIGN.md for the system map.
 import os
 from typing import Optional
 
-from . import isa, observe, trace, uarch, workloads
+from . import isa, observe, uarch, workloads
 from . import runtime
 from .ci import MechanismPipeline, PolicySpec
 from .isa import Program, assemble
@@ -105,7 +105,6 @@ __all__ = [
     "run_program",
     "runtime",
     "simulate",
-    "trace",
     "uarch",
     "workloads",
 ]

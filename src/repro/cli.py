@@ -60,6 +60,10 @@ from .workloads import UnknownWorkloadError, build_program, kernel_names
 
 SCHEMES = ("scal", "wb", "ci", "ci-iw", "vect")
 
+#: default TCP port of ``repro serve`` (and of ``submit``/``--server``);
+#: defined here so building the parser never imports the serve package
+DEFAULT_PORT = 8731
+
 
 def make_config(args: argparse.Namespace) -> ProcessorConfig:
     regs = INF_REGS if args.regs == "inf" else int(args.regs)
@@ -545,7 +549,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from .runtime import profile_kernel
+    from .runtime.profiling import profile_kernel
     limit = args.top if args.top is not None else args.limit
     stats, report = profile_kernel(
         args.kernel, make_config(args), scale=args.scale, seed=args.seed,
@@ -728,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "quarantined entry remains parked (CI gate)")
     pc.set_defaults(fn=cmd_cache)
 
-    from .serve.protocol import DEFAULT_PORT
     psv = sub.add_parser(
         "serve", help="run the simulation service daemon")
     psv.add_argument("--host", default="127.0.0.1",

@@ -1,6 +1,6 @@
 """Simulation runtime: the run vocabulary, parallel execution, caching.
 
-Four cooperating pieces (see DESIGN.md §11):
+Three cooperating pieces (see DESIGN.md §11):
 
 * :class:`RunSpec` — the canonical, frozen description of one logical
   simulation (kernel, scale, seed, config, policy/fault/observer
@@ -15,9 +15,10 @@ Four cooperating pieces (see DESIGN.md §11):
 * :class:`ResultCache` — persistent content-addressed store of
   ``SimStats`` under those canonical keys, with atomic concurrent-safe
   writes, per-entry checksums, quarantine of corrupt files and
-  run-spec provenance in the envelope;
-* :func:`profile_kernel` — cProfile harness over one simulation for
-  hot-loop work.
+  run-spec provenance in the envelope.
+
+:mod:`repro.runtime.profiling` (the cProfile harness behind ``repro
+profile``) is imported only by that command.
 
 The experiment harness's ``repro.experiments.Runner`` delegates here,
 so every figure, ablation, benchmark and CLI sweep gets the pool and
@@ -48,7 +49,6 @@ from .parallel import (
     execute_jobs_observed,
     pool_restart_count,
 )
-from .profiling import profile_kernel
 from .spec import SPEC_FIELDS, RunSpec
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "image_digest",
     "job_key",
     "pool_restart_count",
-    "profile_kernel",
     "program_fingerprint",
     "run_key",
     "stats_digest",

@@ -86,11 +86,11 @@ def capacity_group(spec: "RunSpec") -> Tuple[tuple, Tuple[int, int]]:
     speculative data memory (DESIGN §9.7).  Without one the spec-memory
     capacity is 0 and never differs within the group.
     """
-    cfg = spec.resolved_cfg()
-    spec_mem = cfg.spec_mem_size
-    return ((spec.kernel, spec.scale, spec.seed,
-             config_token(cfg, omit=CAPACITIES), spec_mem is not None),
-            (cfg.phys_regs, spec_mem or 0))
+    spec_mem = spec.cfg.spec_mem_size
+    with _key_lock:
+        group = _spec_token(spec, CAPACITIES)
+    return ((spec.kernel, spec.scale, spec.seed, group, spec_mem is not None),
+            (spec.cfg.phys_regs, spec_mem or 0))
 
 
 def program_fingerprint(program: "Program") -> str:
@@ -145,11 +145,17 @@ def job_key(program: "Program", cfg: "ProcessorConfig",
     flag, a different operand encoding) invalidates cached results even
     when the instruction stream itself is unchanged.
     """
+    return _job_key(program, config_token(cfg), scale, seed)
+
+
+def _job_key(program: "Program", token: str, scale: float,
+             seed: int) -> str:
+    """:func:`job_key` from an already serialised configuration."""
     h = hashlib.sha256()
     h.update(f"schema={CACHE_SCHEMA}\n".encode())
     h.update(program_fingerprint(program).encode())
     h.update(f"image={image_digest(program)}\n".encode())
-    h.update(config_token(cfg).encode())
+    h.update(token.encode())
     h.update(f"\nscale={scale!r} seed={seed!r}".encode())
     return h.hexdigest()
 
@@ -192,12 +198,34 @@ def cached_program(kernel: str, scale: float, seed: int):
 
 # -- the one spec-level key --------------------------------------------------
 
-#: spec identity -> canonical key; bounded, shared across runners and
-#: the serve layer's submit threads (the lock also serialises the
-#: underlying program build so concurrent submits don't duplicate it)
-_KEY_MEMO_CAP = 4096
+#: bound on each memo (the serve daemon decodes a new config per job)
+_MEMO_CAP = 4096
+#: (id(cfg), policy, omit) -> (cfg, token).  By identity, never by
+#: equality: equal configs can serialise differently (``512`` vs
+#: ``512.0``); holding ``cfg`` keeps its id from being reused.
+_token_memo: Dict[tuple, Tuple["ProcessorConfig", str]] = {}
+#: (kernel, repr(scale), repr(seed), token, faults, sampling) -> run key
 _key_memo: Dict[tuple, str] = {}
+#: guards both memos; also serialises :func:`run_key`'s program build,
+#: so concurrent serve submits don't duplicate it
 _key_lock = threading.Lock()
+
+
+def _remember(memo: dict, ident: tuple, value) -> None:
+    while len(memo) >= _MEMO_CAP:
+        memo.pop(next(iter(memo)))
+    memo[ident] = value
+
+
+def _spec_token(spec: "RunSpec", omit: Tuple[str, ...] = ()) -> str:
+    """:func:`config_token` of ``spec.resolved_cfg()``, serialised once
+    per configuration object and policy (caller holds ``_key_lock``)."""
+    ident = (id(spec.cfg), spec.policy, omit)
+    hit = _token_memo.get(ident)
+    if hit is None:
+        hit = (spec.cfg, config_token(spec.resolved_cfg(), omit))
+        _remember(_token_memo, ident, hit)
+    return hit[1]
 
 
 def run_key(spec: "RunSpec") -> str:
@@ -214,14 +242,14 @@ def run_key(spec: "RunSpec") -> str:
     The observer spec is deliberately excluded: it changes how a run is
     watched, never its stats.
     """
-    ident = (spec.kernel, spec.scale, spec.seed, spec.cfg, spec.policy,
-             spec.faults, spec.sampling)
     with _key_lock:
+        token = _spec_token(spec)
+        ident = (spec.kernel, repr(spec.scale), repr(spec.seed), token,
+                 spec.faults, spec.sampling)
         key = _key_memo.get(ident)
         if key is None:
             program = cached_program(spec.kernel, spec.scale, spec.seed)
-            key = job_key(program, spec.resolved_cfg(),
-                          spec.scale, spec.seed)
+            key = _job_key(program, token, spec.scale, spec.seed)
             if spec.faults:
                 h = hashlib.sha256(key.encode())
                 h.update(f"\nfaults={spec.faults}".encode())
@@ -230,9 +258,7 @@ def run_key(spec: "RunSpec") -> str:
                 h = hashlib.sha256(key.encode())
                 h.update(f"\nsampling={spec.sampling}".encode())
                 key = h.hexdigest()
-            while len(_key_memo) >= _KEY_MEMO_CAP:
-                _key_memo.pop(next(iter(_key_memo)))
-            _key_memo[ident] = key
+            _remember(_key_memo, ident, key)
     return key
 
 

@@ -39,20 +39,21 @@ never bound (DESIGN §9.7).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import signal
 import sys
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..uarch import ProcessorConfig, SimStats
 from .cache import ResultCache
 from .keys import cached_program, capacity_group, run_key
 from .spec import RunSpec
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a pool runs
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class WorkerError(RuntimeError):
@@ -274,14 +275,6 @@ def _batch_chunks(jobs: Sequence[RunSpec],
     return chunks
 
 
-def _pool_context():
-    """Prefer fork (cheap, inherits the loaded package); fall back."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context()
-
-
 #: one result slot: (stats dict, payload) on success, else a _Failure
 _Slot = Union[Tuple[Optional[dict], Optional[dict]], "_Failure", None]
 
@@ -318,8 +311,17 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
     transient: List[int] = []
     chunks = _batch_chunks(jobs, indexes, n_workers)
     try:
+        # Imported here, so a run that resolves everything from the
+        # cache never loads the pool machinery.
+        import multiprocessing
+        from concurrent.futures import (FIRST_COMPLETED,
+                                        ProcessPoolExecutor, wait)
+        try:  # prefer fork: cheap, inherits the loaded package
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)),
-                                 mp_context=_pool_context(),
+                                 mp_context=context,
                                  initializer=_worker_init) as pool:
             futures = {
                 pool.submit(_run_batch, [jobs[i] for i in chunk]): chunk

@@ -12,7 +12,9 @@ import io
 import pstats
 from typing import Tuple
 
+from .. import run_program
 from ..uarch import ProcessorConfig, SimStats
+from ..workloads import build_program
 
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
 
@@ -22,9 +24,6 @@ def profile_kernel(kernel: str, cfg: ProcessorConfig,
                    sort: str = "cumulative",
                    limit: int = 30) -> Tuple[SimStats, str]:
     """Simulate ``kernel`` under cProfile; returns (stats, report text)."""
-    # Imported here: this module is reachable from ``repro/__init__``.
-    from .. import run_program
-    from ..workloads import build_program
     prog = build_program(kernel, scale, seed)
     profiler = cProfile.Profile()
     profiler.enable()

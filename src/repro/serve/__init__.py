@@ -13,35 +13,7 @@ FIFO + coalescing), ``scheduler`` (dispatch + pool supervision),
 ``journal`` (the crash-safety write-ahead log), ``server`` (asyncio
 front end and its bounded-depth admission check), ``client`` (resilient
 wire client + thin-client runner), ``metrics`` (Prometheus / healthz).
+Import names from those modules: the package itself loads nothing, so
+using one module never pulls in the daemon, ``asyncio`` or
+``http.client``.
 """
-
-from .client import RemoteRunner, ServeClient, ServeError, parse_address
-from .journal import JobJournal, JournalReplay, replay_journal
-from .metrics import ServerMetrics
-from .protocol import (DEFAULT_PORT, PROTOCOL_VERSION, ErrorInfo, JobStatus,
-                       ProtocolError)
-from .queue import ServeQueue
-from .scheduler import Dispatcher, PoolSupervisor, SimExecutor
-from .server import ServeServer, serve_main
-
-__all__ = [
-    "DEFAULT_PORT",
-    "Dispatcher",
-    "ErrorInfo",
-    "JobJournal",
-    "JobStatus",
-    "JournalReplay",
-    "PROTOCOL_VERSION",
-    "PoolSupervisor",
-    "ProtocolError",
-    "RemoteRunner",
-    "ServeClient",
-    "ServeError",
-    "ServeQueue",
-    "ServeServer",
-    "ServerMetrics",
-    "SimExecutor",
-    "parse_address",
-    "replay_journal",
-    "serve_main",
-]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..cli import DEFAULT_PORT  # noqa: F401  (re-exported)
 from ..runtime import FailedResult, RunSpec
 
 #: bump on any incompatible wire change; requests carry it and the
@@ -40,9 +41,6 @@ PROTOCOL_VERSION = 2
 
 #: URL prefix of the versioned API surface
 API_PREFIX = "/v1"
-
-#: default TCP port of ``repro serve``
-DEFAULT_PORT = 8731
 
 # -- job states -------------------------------------------------------------
 QUEUED = "queued"

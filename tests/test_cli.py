@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main, make_config
 from repro.uarch.config import INF_REGS
 
@@ -226,6 +231,15 @@ class TestServeCli:
         args = build_parser().parse_args(["suite", "--server", "h:1"])
         assert args.server == "h:1"
 
+    @pytest.mark.parametrize("command, shown", [
+        ("serve", "default: 8731;"), ("submit", "default: 127.0.0.1:8731)")])
+    def test_help_shows_default_port(self, capsys, command, shown):
+        from repro.serve.protocol import DEFAULT_PORT
+        assert DEFAULT_PORT == 8731
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert shown in " ".join(capsys.readouterr().out.split())
+
     def test_submit_unknown_kernel_exits_2(self, capsys):
         rc, _ = run_cli(capsys, "submit", "nosuchkernel",
                         "--server", "127.0.0.1:1")
@@ -240,3 +254,38 @@ class TestServeCli:
         rc, _ = run_cli(capsys, "suite", "--server", "127.0.0.1:1",
                         "--scale", "0.1")
         assert rc == 2
+
+
+#: modules a warm report never uses: the serve daemon, the process pool,
+#: the profiler and the trace tool
+REPORT_PATH_UNUSED = ("repro.serve", "asyncio", "http.client",
+                      "multiprocessing", "concurrent.futures.process",
+                      "cProfile", "repro.trace")
+
+WARM_FIGURE = """
+import sys
+from repro.cli import build_parser, main
+build_parser()
+rc = main(["figure", "fig05", "--scale", "0.05", "--jobs", "2"])
+print("loaded:", *[m for m in {unused!r} if m in sys.modules],
+      file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_warm_report_path_imports_only_what_it_uses(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    rc, cold = run_cli(capsys, "figure", "fig05", "--scale", "0.05",
+                       "--jobs", "1")
+    assert rc == 0
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_FIGURE.format(unused=REPORT_PATH_UNUSED)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == cold
+    summary, loaded = proc.stderr.splitlines()[-2:]
+    assert "0 simulation(s) run" in summary
+    assert loaded == "loaded:"

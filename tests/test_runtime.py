@@ -2,7 +2,9 @@
 
 import math
 import os
+import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.runtime import (
     execute_jobs_observed,
     job_key,
     program_fingerprint,
+    run_key,
 )
 from repro.runtime import parallel as parallel_mod
 from repro.runtime.parallel import ParallelRunner
@@ -57,6 +60,25 @@ class TestCacheKeys:
         assert config_token(ci(1, 512)) != config_token(ci(2, 512))
         assert config_token(ci(1, 512)) != config_token(
             ci(1, 512, policy="vect"))
+
+    def test_run_key_tells_equal_but_differently_typed_runs_apart(self):
+        # 512 == 512.0 and 1 == 1.0, but each serialises differently, so
+        # the keys differ; the memo must not hand out whichever key it
+        # saw first.
+        a = ci(1, 512)
+        b = replace(a, phys_regs=512.0)
+        assert a == b and hash(a) == hash(b)
+        prog = build_program("eon", SCALE, SEED)
+        assert run_key(RunSpec("eon", SCALE, SEED, a)) == \
+            job_key(prog, a, SCALE, SEED)
+        assert run_key(RunSpec("eon", SCALE, SEED, b)) == \
+            job_key(prog, b, SCALE, SEED)
+        assert job_key(prog, a, SCALE, SEED) != job_key(prog, b, SCALE, SEED)
+        whole = build_program("eon", 1, SEED)
+        assert run_key(RunSpec("eon", 1, SEED, a)) == \
+            job_key(whole, a, 1, SEED)
+        assert run_key(RunSpec("eon", 1.0, SEED, a)) == \
+            job_key(whole, a, 1.0, SEED)
 
     def test_job_key_varies_with_scale_and_seed(self):
         prog = build_program("eon", SCALE, SEED)
@@ -111,6 +133,25 @@ class TestExecuteJobs:
                 RunSpec("gzip", SCALE, SEED, wb(1, 256))]
         stats = execute_jobs(jobs, 2)
         assert len(stats) == 2 and all(s.committed > 0 for s in stats)
+
+    def test_pool_import_failure_falls_back_to_serial(self, monkeypatch):
+        # The pool modules load inside _run_pool_pass; a platform where
+        # they cannot be imported still gets every result, in-process.
+        specs = [RunSpec(k, SCALE, SEED, ci(1, 512)) for k in ("eon", "gzip")]
+        serial = make_runner(ResultCache(enabled=False)).run_many(specs)
+        serial_calls = []
+        run_serial = parallel_mod._run_serial
+
+        def spy(*args):
+            serial_calls.append(args)
+            run_serial(*args)
+        monkeypatch.setattr(parallel_mod, "_run_serial", spy)
+        monkeypatch.setitem(sys.modules, "multiprocessing", None)
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        pooled = make_runner(ResultCache(enabled=False), jobs=2)
+        stats = pooled.run_many(specs)
+        assert len(serial_calls) == 1 and pooled.sims_run == 2
+        assert [s.to_dict() for s in stats] == [s.to_dict() for s in serial]
 
     def test_worker_failure_reports_cleanly(self):
         jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),

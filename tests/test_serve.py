@@ -15,18 +15,13 @@ import pytest
 
 from repro import run_kernel
 from repro.runtime import ResultCache, RunSpec
-from repro.serve import (
-    ProtocolError,
-    RemoteRunner,
-    ServeClient,
-    ServeError,
-    ServeQueue,
-    ServeServer,
-    ServerMetrics,
-    parse_address,
-)
 from repro.serve import protocol
-from repro.serve.queue import Ticket
+from repro.serve.client import (RemoteRunner, ServeClient, ServeError,
+                                parse_address)
+from repro.serve.metrics import ServerMetrics
+from repro.serve.protocol import ProtocolError
+from repro.serve.queue import ServeQueue, Ticket
+from repro.serve.server import ServeServer
 from repro.uarch import SimStats
 from repro.uarch.config import ProcessorConfig, ci
 from repro.uarch.config import config_from_dict, config_to_dict
