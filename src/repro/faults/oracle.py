@@ -32,8 +32,9 @@ def committed_state(core) -> Tuple[List[int], Dict[int, int]]:
 
     Non-destructive: walks the window youngest-to-oldest applying each
     in-flight instruction's undo record to *copies* of the speculative
-    state, exactly as ``Core._undo`` would, without touching the core.
-    Reads the core's shared decode-once image for the structural facts.
+    state, exactly as ``Core._recover``'s squash walk would, without
+    touching the core.  Reads the core's shared decode-once image for the
+    structural facts.
     """
     regs = list(core.sregs)
     mem = dict(core.mem)

@@ -14,7 +14,9 @@ from .opcodes import (
     COND_BRANCHES,
     FU_LATENCY,
     FU_OF_OP,
+    FU_SLOT,
     MASK64,
+    NUM_FU_SLOTS,
     FUClass,
     Op,
     to_signed,
@@ -33,11 +35,13 @@ __all__ = [
     "FUClass",
     "FU_LATENCY",
     "FU_OF_OP",
+    "FU_SLOT",
     "Instruction",
     "InterpError",
     "InterpResult",
     "StepLimitExceeded",
     "MASK64",
+    "NUM_FU_SLOTS",
     "NUM_LOGICAL_REGS",
     "Op",
     "Program",

@@ -231,3 +231,21 @@ FU_LATENCY: Dict[FUClass, int] = {
     FUClass.BRANCH: 1,
     FUClass.NONE: 1,
 }
+
+#: Per-cycle issue budget each FU class draws on.  Classes sharing
+#: physical units share a slot (Table 1): divides issue on the mul/div
+#: units and branches resolve on the integer ALUs.  The predecoded image
+#: resolves every PC's slot once (``ProgramImage.fu_slot``) and the core
+#: keeps one flat counter per slot (``repro.uarch.funits.FUPool``).
+FU_SLOT: Dict[FUClass, int] = {
+    FUClass.INT_ALU: 0,
+    FUClass.BRANCH: 0,
+    FUClass.INT_MUL: 1,
+    FUClass.INT_DIV: 1,
+    FUClass.FP_ADD: 2,
+    FUClass.FP_MUL: 3,
+    FUClass.FP_DIV: 3,
+    FUClass.MEM: 4,
+    FUClass.NONE: 5,
+}
+NUM_FU_SLOTS = 6

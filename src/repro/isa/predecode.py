@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from .opcodes import FU_LATENCY, FU_SLOT
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .program import Program
 
@@ -57,11 +59,16 @@ class ProgramImage:
     asserted against ``Instruction.srcs`` at build time via ``srcs``
     staying the authoritative dependence list).  ``rd`` is only
     meaningful where ``flags & F_WRITES_REG``.
+
+    ``fu_slot`` and ``fu_lat`` resolve ``fu_class`` once per PC: the
+    per-cycle issue budget the instruction draws on (shared units
+    folded, see ``FU_SLOT``) and its execution latency.  Both derive
+    from ``fu_class``, so the digest need not cover them.
     """
 
     __slots__ = ("n", "kind", "flags", "ctrl", "rd", "rs1", "rs2", "imm",
                  "target", "srcs", "alu_fn", "branch_fn", "fu_class",
-                 "_digest")
+                 "fu_slot", "fu_lat", "_digest")
 
     def __init__(self, code) -> None:
         n = len(code)
@@ -127,6 +134,8 @@ class ProgramImage:
         self.alu_fn = tuple(alu_fn)
         self.branch_fn = tuple(branch_fn)
         self.fu_class = tuple(fu_class)
+        self.fu_slot = tuple(FU_SLOT[fu] for fu in fu_class)
+        self.fu_lat = tuple(FU_LATENCY[fu] for fu in fu_class)
         self._digest: Optional[str] = None
 
     @property

@@ -377,7 +377,10 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                                 "interrupted",
                                 "interrupted by user (SIGINT)")
                 raise
-    except (OSError, ImportError):  # no usable multiprocessing
+    except (OSError, ImportError, NotImplementedError):
+        # No usable multiprocessing: its modules fail to import, or
+        # ProcessPoolExecutor refuses to start (NotImplementedError on a
+        # build without multiprocessing.synchronize).
         _run_serial(jobs, indexes, results)
         return []
     return transient

@@ -73,17 +73,8 @@ class MemoryHierarchy:
         #: completion cycles of in-flight L1 misses (pruned lazily)
         self._outstanding: List[int] = []
 
-    @property
-    def line_size(self) -> int:
-        return self.l1.line
-
     def line_of(self, addr: int) -> int:
         return addr // self.l1.line
-
-    def mshr_available(self, now: int) -> bool:
-        """Whether a new L1 miss could be tracked at cycle ``now``."""
-        self._outstanding = [c for c in self._outstanding if c > now]
-        return len(self._outstanding) < self.mshrs
 
     def load_latency(self, addr: int, now: int) -> int:
         """Latency of a load access started at ``now`` (L1 state updated).

@@ -18,13 +18,7 @@ import os
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..isa import (
-    MASK64,
-    FUClass,
-    FU_LATENCY,
-    NUM_LOGICAL_REGS,
-    Program,
-)
+from ..isa import MASK64, NUM_LOGICAL_REGS, Program
 from ..isa.instructions import K_ALU, K_BRANCH, K_JUMP, K_LOAD, K_STORE
 from ..isa.predecode import (
     F_COND_BRANCH,
@@ -41,7 +35,7 @@ from .caches import MemoryHierarchy
 from .config import ProcessorConfig
 from .frontend import FetchUnit
 from .funits import FUPool
-from .hooks import MechanismHooks
+from .hooks import MechanismHooks, bind_hooks
 from .rename import FreeList, RenameTable
 from .rob import DynInst, MEM_ABSENT
 from .stats import SimStats
@@ -54,9 +48,11 @@ class SimulationError(RuntimeError):
 class PortState:
     """Per-cycle L1 data-cache port arbitration, including wide buses.
 
-    One instance lives for the whole simulation and is ``reset()`` each
-    cycle — allocating a fresh object (and its ``open_lines`` dict) per
-    cycle showed up in profiles of long runs.
+    One instance lives for the whole simulation.  ``Core.run`` restores
+    its budget each cycle (``ports_left``, ``open_lines``) and core loads
+    account inline in ``Core._issue``; the store commit path and the
+    replica scheduler go through the methods below, against the same
+    counters.
     """
 
     def __init__(self, cfg: ProcessorConfig, stats: SimStats,
@@ -65,13 +61,8 @@ class PortState:
         self.stats = stats
         self.hierarchy = hierarchy
         self.ports_left = cfg.l1d_ports
+        #: wide bus: loads still free on each line opened this cycle
         self.open_lines: Dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Start a new cycle: full port budget, no open wide-bus lines."""
-        self.ports_left = self.cfg.l1d_ports
-        if self.open_lines:
-            self.open_lines.clear()
 
     def can_load(self, line: int) -> bool:
         if self.cfg.wide_bus and self.open_lines.get(line, 0) > 0:
@@ -165,6 +156,18 @@ class Core:
             self._obs.attach(self)
         self.hooks: MechanismHooks = hooks or MechanismHooks()
         self.hooks.attach(self)
+        # The hook table, bound after attach so it sees what attach
+        # installs; a hook left at the no-op base is None (DESIGN §9.9).
+        bound = bind_hooks(self.hooks)
+        self._dispatch_gate = bound["dispatch_gate"]
+        self._on_dispatch = bound["on_dispatch"]
+        self._on_branch_resolved = bound["on_branch_resolved"]
+        self._on_recovery = bound["on_recovery"]
+        self._on_commit = bound["on_commit"]
+        self._on_store_commit = bound["on_store_commit"]
+        self._on_cycle = bound["on_cycle"]
+        self._next_event_cycle = bound["next_event_cycle"]
+        self._extra_latency = bound["validated_extra_latency"]
         self._last_progress_cycle = 0
         self._ports = PortState(cfg, self.stats, self.hierarchy)
         if boot is not None:
@@ -199,15 +202,22 @@ class Core:
         # Hoisted hot locals: each name below is read every cycle.
         stats = self.stats
         fetch = self.fetch
-        hooks = self.hooks
-        fu = self.fu
+        queue = fetch.queue
+        dispatch_gate = self._dispatch_gate
+        on_cycle = self._on_cycle
+        next_event_cycle = self._next_event_cycle
+        fu_avail = self.fu.avail
+        fu_capacity = self.fu.capacity
         ports = self._ports
+        open_lines = ports.open_lines
         freelist = self.freelist
         obs = self._obs
         window = self.window
         completion = self.completion
         ready = self.ready
         cfg = self.cfg
+        l1d_ports = cfg.l1d_ports
+        issue_width = cfg.issue_width
         max_cycles = cfg.max_cycles
         window_size = cfg.window_size
         lsq_size = cfg.lsq_size
@@ -225,18 +235,32 @@ class Core:
                 raise SimulationError(
                     f"{self.program.name}: no commit for 20k cycles at "
                     f"cycle {cycle} (head={self.window[0] if self.window else None})")
-            fu.reset()
-            ports.reset()
-            self._commit(ports)
+            # Fresh per-cycle budgets, then each stage only when it can
+            # act (DESIGN.md §9.9).
+            fu_avail[:] = fu_capacity
+            ports.ports_left = l1d_ports
+            if open_lines:
+                open_lines.clear()
+            if window and (window[0].done or window[0].validated):
+                self._commit(ports)
             if self.halted or stats.committed >= max_insn:
                 break
-            self._writeback()
-            leftover = self._issue(ports)
-            self._dispatch()
+            if completion and completion[0][0] <= cycle:
+                self._writeback()
+            leftover = self._issue(ports) if ready else issue_width
+            # The gate runs every cycle, dispatchable or not: the vect
+            # gate records register slack and reclaims dead entries.
+            if (dispatch_gate is None or dispatch_gate()) \
+                    and queue and queue[0][0] <= cycle:
+                self._dispatch()
             stats.fetched += fetch.fetch_cycle(cycle)
-            hooks.on_cycle(leftover, ports)
-            in_use = freelist.in_use
-            stats.record_reg_usage(in_use)
+            if on_cycle is not None:
+                on_cycle(leftover, ports)
+            in_use = freelist.capacity - freelist.free
+            stats.regs_in_use_samples += 1
+            stats.regs_in_use_sum += in_use
+            if in_use > stats.regs_in_use_peak:
+                stats.regs_in_use_peak = in_use
             if cycle % interval == 0:
                 stats.record_interval()
             if obs is not None:
@@ -269,7 +293,6 @@ class Core:
                         nxt = cra
             if completion and completion[0][0] < nxt:
                 nxt = completion[0][0]
-            queue = fetch.queue
             if queue:
                 head_ready = queue[0][0]
                 if head_ready > cycle:
@@ -289,12 +312,13 @@ class Core:
                     nxt = redirect_at
             elif not fetch.stalled and len(queue) < fetch_queue_size:
                 continue  # the front end fetches next cycle
-            mech = hooks.next_event_cycle()
-            if mech is not None:
-                if mech <= cycle:
-                    continue  # mechanism vetoes (per-cycle work pending)
-                if mech < nxt:
-                    nxt = mech
+            if next_event_cycle is not None:
+                mech = next_event_cycle()
+                if mech is not None:
+                    if mech <= cycle:
+                        continue  # mechanism vetoes (per-cycle work pending)
+                    if mech < nxt:
+                        nxt = mech
             if max_cycles < nxt:
                 nxt = max_cycles + 1
             span_end = nxt - 1
@@ -342,13 +366,20 @@ class Core:
     def _commit(self, ports: PortState) -> None:
         cfg = self.cfg
         obs = self._obs
+        stats = self.stats
+        window = self.window
+        freelist = self.freelist
+        rename = self.rename
+        cycle = self.cycle
+        on_commit = self._on_commit
         flags_a = self.image.flags
+        rd_a = self.image.rd
         slots = cfg.commit_width
         stores_this_cycle = 0
-        while slots > 0 and self.window:
-            inst = self.window[0]
+        while slots > 0 and window:
+            inst = window[0]
             if not inst.done and not (
-                    inst.validated and 0 <= inst.commit_ready_at <= self.cycle):
+                    inst.validated and 0 <= inst.commit_ready_at <= cycle):
                 break
             flags = flags_a[inst.pc]
             if flags & F_STORE:
@@ -368,39 +399,41 @@ class Core:
                 stores_this_cycle += 1
             else:
                 slots -= 1
-            self.window.popleft()
+            window.popleft()
             inst.committed = True
-            self.stats.committed += 1
+            stats.committed += 1
             if obs is not None:
-                obs.on_commit(inst, self.cycle)
-            self._last_progress_cycle = self.cycle
+                obs.on_commit(inst, cycle)
+            self._last_progress_cycle = cycle
             if inst.validated:
-                self.stats.committed_reused += 1
+                stats.committed_reused += 1
             if flags & F_WRITES_REG:
-                self.freelist.release(1)
-                self.rename.clear_owner_if(self.image.rd[inst.pc], inst)
+                freelist.release(1)
+                rename.clear_owner_if(rd_a[inst.pc], inst)
                 # A retired instruction can no longer be undone; keeping
                 # the record would chain every older producer to it.
                 inst.rename_undo = None
             if flags & F_MEM:
                 self.lsq_count -= 1
             if flags & F_STORE:
-                self.stats.stores_committed += 1
+                stats.stores_committed += 1
                 self.hierarchy.store_access(inst.eff_addr)
                 self._store_map_remove(inst)
-                conflict = self.hooks.on_store_commit(inst)
-                if conflict:
-                    self.stats.coherence_squashes += 1
+                on_store_commit = self._on_store_commit
+                if on_store_commit is not None and on_store_commit(inst):
+                    stats.coherence_squashes += 1
                     self._recover(inst, inst.pc + 1, is_branch=False)
-                    self.hooks.on_commit(inst)
+                    if on_commit is not None:
+                        on_commit(inst)
                     return
             if flags & F_COND_BRANCH:
-                self.stats.cond_branches += 1
+                stats.cond_branches += 1
                 if inst.mispredicted:
-                    self.stats.mispredicts += 1
+                    stats.mispredicts += 1
                     if inst.hard_branch:
-                        self.stats.mispredicts_hard += 1
-            self.hooks.on_commit(inst)
+                        stats.mispredicts_hard += 1
+            if on_commit is not None:
+                on_commit(inst)
             if flags & F_HALT:
                 self.halted = True
                 return
@@ -410,15 +443,19 @@ class Core:
     # ------------------------------------------------------------------
     def _writeback(self) -> None:
         comp = self.completion
+        ready = self.ready
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        cycle = self.cycle
         obs = self._obs
         flags_a = self.image.flags
-        while comp and comp[0][0] <= self.cycle:
-            _, _, inst = heapq.heappop(comp)
+        while comp and comp[0][0] <= cycle:
+            inst = heappop(comp)[2]
             if inst.squashed or inst.done:
                 continue
             inst.done = True
             if obs is not None:
-                obs.on_writeback(inst, self.cycle)
+                obs.on_writeback(inst, cycle)
             consumers = inst.consumers
             # Woken consumers are never needed again.  Each one references
             # this producer (undo record, forwarded store), so keeping the
@@ -429,10 +466,11 @@ class Core:
                 if (c.num_pending == 0 and not c.issued and not c.squashed
                         and not c.in_ready):
                     c.in_ready = True
-                    heapq.heappush(self.ready, (c.seq, c))
+                    heappush(ready, (c.seq, c))
             if flags_a[inst.pc] & F_COND_BRANCH:
                 self.bpred.train(inst.pc, inst.bp_history, inst.actual_taken)
-                self.hooks.on_branch_resolved(inst)
+                if self._on_branch_resolved is not None:
+                    self._on_branch_resolved(inst)
                 if inst.mispredicted and not inst.squashed:
                     self.bpred.recover(inst.bp_history, inst.actual_taken)
                     self._recover(inst, inst.actual_next_pc, is_branch=True)
@@ -441,39 +479,49 @@ class Core:
     # Recovery: squash everything younger than ``pivot``.
     # ------------------------------------------------------------------
     def _recover(self, pivot: DynInst, redirect_pc: int, is_branch: bool) -> None:
+        window = self.window
+        stats = self.stats
+        obs = self._obs
+        cycle = self.cycle
+        flags_a = self.image.flags
+        rd_a = self.image.rd
+        sregs = self.sregs
+        mem = self.mem
+        rename = self.rename
+        freelist = self.freelist
+        pivot_seq = pivot.seq
         squashed: List[DynInst] = []
-        while self.window and self.window[-1].seq > pivot.seq:
-            inst = self.window.pop()
-            self._undo(inst)
+        while window and window[-1].seq > pivot_seq:
+            # Undo the youngest instruction's functional and rename
+            # effects.
+            inst = window.pop()
+            inst.squashed = True
+            inst.consumers = None  # all younger: squashed with it
+            stats.squashed += 1
+            if obs is not None:
+                obs.on_squash(inst, cycle)
+            flags = flags_a[inst.pc]
+            if flags & F_STORE:
+                if inst.mem_old is MEM_ABSENT:
+                    mem.pop(inst.eff_addr, None)
+                else:
+                    mem[inst.eff_addr] = inst.mem_old
+                self._store_map_remove(inst)
+            if flags & F_MEM:
+                self.lsq_count -= 1
+            if flags & F_WRITES_REG:
+                sregs[rd_a[inst.pc]] = inst.sreg_old
+                rename.restore_reg(inst.rename_undo)
+                inst.rename_undo = None
+                if inst.reg_allocated:
+                    freelist.release(1)
             squashed.append(inst)
         squashed.reverse()
-        self.hooks.on_recovery(pivot, squashed, is_branch)
-        if self._obs is not None:
-            self._obs.on_recovery(pivot, len(squashed), is_branch, self.cycle)
-        self.fetch.redirect(redirect_pc, self.cycle)
-
-    def _undo(self, inst: DynInst) -> None:
-        """Roll back one instruction's functional and rename effects."""
-        inst.squashed = True
-        inst.consumers = None  # all younger: squashed with it
-        self.stats.squashed += 1
-        if self._obs is not None:
-            self._obs.on_squash(inst, self.cycle)
-        flags = self.image.flags[inst.pc]
-        if flags & F_STORE:
-            if inst.mem_old is MEM_ABSENT:
-                self.mem.pop(inst.eff_addr, None)
-            else:
-                self.mem[inst.eff_addr] = inst.mem_old
-            self._store_map_remove(inst)
-        if flags & F_MEM:
-            self.lsq_count -= 1
-        if flags & F_WRITES_REG:
-            self.sregs[self.image.rd[inst.pc]] = inst.sreg_old
-            self.rename.restore_reg(inst.rename_undo)
-            inst.rename_undo = None
-            if inst.reg_allocated:
-                self.freelist.release(1)
+        if self._on_recovery is not None:
+            self._on_recovery(pivot, squashed, is_branch)
+        if obs is not None:
+            obs.on_recovery(pivot, len(squashed), is_branch, cycle)
+        self.fetch.redirect(redirect_pc, cycle)
 
     def _store_map_remove(self, inst: DynInst) -> None:
         lst = self.store_map.get(inst.eff_addr)
@@ -489,48 +537,81 @@ class Core:
     # Issue.
     # ------------------------------------------------------------------
     def _issue(self, ports: PortState) -> int:
-        issued = 0
-        deferred: List[tuple] = []
-        cfg = self.cfg
+        """Issue ready instructions oldest first; returns the slots left.
+
+        FU and port accounting is inline, against the flat per-cycle
+        budgets: ``FUPool.avail`` indexed by the predecoded FU slot, and
+        the ``PortState`` counters the replica scheduler draws on later
+        in the same cycle.
+        """
+        ready = self.ready
+        completion = self.completion
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        cycle = self.cycle
         obs = self._obs
-        flags_a = self.image.flags
-        fu_a = self.image.fu_class
-        while issued < cfg.issue_width and self.ready:
-            seq, inst = heapq.heappop(self.ready)
+        stats = self.stats
+        hierarchy = self.hierarchy
+        image = self.image
+        flags_a = image.flags
+        slot_a = image.fu_slot
+        lat_a = image.fu_lat
+        avail = self.fu.avail
+        cfg = self.cfg
+        width = cfg.issue_width
+        wide_bus = cfg.wide_bus
+        ports_left = ports.ports_left
+        open_lines = ports.open_lines
+        deferred: List[tuple] = []
+        issued = 0
+        while issued < width and ready:
+            item = heappop(ready)
+            inst = item[1]
             inst.in_ready = False
             if inst.squashed or inst.issued:
                 continue
-            is_load = flags_a[inst.pc] & F_LOAD
-            fu = fu_a[inst.pc]
-            if is_load and inst.forward_store is None:
-                line = self.hierarchy.line_of(inst.eff_addr)
-                if not ports.can_load(line) or self.fu.available(FUClass.MEM) <= 0:
-                    deferred.append((seq, inst))
-                    continue
-                self.fu.acquire(FUClass.MEM)
-                ports.do_load(line)
-                lat = self.hierarchy.load_latency(inst.eff_addr, self.cycle)
-                if lat > self.hierarchy.l1.hit_latency:
-                    self.stats.l1d_misses += 1
-            else:
-                if not self.fu.acquire(fu):
-                    deferred.append((seq, inst))
-                    continue
-                if is_load:  # forwarded from an in-flight store
-                    self.stats.store_forwards += 1
+            pc = inst.pc
+            slot = slot_a[pc]
+            if avail[slot] <= 0:
+                deferred.append(item)
+                continue
+            if flags_a[pc] & F_LOAD:
+                if inst.forward_store is None:
+                    # Port arbitration, as PortState.can_load/do_load.
+                    addr = inst.eff_addr
+                    line = addr // hierarchy.l1.line
+                    free = open_lines.get(line, 0) if wide_bus else 0
+                    if free > 0:
+                        open_lines[line] = free - 1
+                    elif ports_left > 0:
+                        ports_left -= 1
+                        if wide_bus:
+                            open_lines[line] = cfg.wide_loads_per_access - 1
+                        stats.l1d_accesses += 1
+                        stats.l1d_load_accesses += 1
+                    else:
+                        deferred.append(item)
+                        continue
+                    lat = hierarchy.load_latency(addr, cycle)
+                    if lat > hierarchy.l1.hit_latency:
+                        stats.l1d_misses += 1
+                else:  # forwarded from an in-flight store
+                    stats.store_forwards += 1
                     lat = 1
-                else:
-                    lat = FU_LATENCY[fu]
+            else:
+                lat = lat_a[pc]
+            avail[slot] -= 1
             inst.issued = True
             issued += 1
-            inst.done_cycle = self.cycle + lat
-            heapq.heappush(self.completion, (inst.done_cycle, inst.seq, inst))
+            inst.done_cycle = done = cycle + lat
+            heappush(completion, (done, item[0], inst))
             if obs is not None:
-                obs.on_issue(inst, self.cycle, lat)
+                obs.on_issue(inst, cycle, lat)
+        ports.ports_left = ports_left
         for item in deferred:
             item[1].in_ready = True
-            heapq.heappush(self.ready, item)
-        return cfg.issue_width - issued
+            heappush(ready, item)
+        return width - issued
 
     # ------------------------------------------------------------------
     # Dispatch: rename + functional execution, fused over the predecoded
@@ -541,16 +622,14 @@ class Core:
     # hottest path in the simulator).
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if not self.hooks.dispatch_gate():
-            return
+        """Dispatch from the fetch queue (``run`` calls it only when the
+        gate is open and the queue head has finished decode)."""
         queue = self.fetch.queue
         cycle = self.cycle
-        if not queue or queue[0][0] > cycle:
-            return
         cfg = self.cfg
         window = self.window
         obs = self._obs
-        hooks = self.hooks
+        on_dispatch = self._on_dispatch
         stats = self.stats
         freelist = self.freelist
         rename = self.rename
@@ -671,7 +750,8 @@ class Core:
                 heappush(ready, (inst.seq, inst))
             stats.dispatched += 1
             window.append(inst)
-            hooks.on_dispatch(inst)
+            if on_dispatch is not None:
+                on_dispatch(inst)
             if obs is not None:
                 obs.on_dispatch(inst, cycle)
             if inst.validated and not inst.issued:
@@ -679,7 +759,8 @@ class Core:
                 # commit immediately (validation goes straight there,
                 # Section 2.4.6); consumers wait for the copy out of the
                 # speculative data memory, charged as extra latency.
-                lat = 1 + hooks.validated_extra_latency(inst)
+                extra = self._extra_latency
+                lat = 1 + (extra(inst) if extra is not None else 0)
                 inst.issued = True
                 inst.commit_ready_at = cycle + 1
                 inst.done_cycle = cycle + lat

@@ -129,12 +129,6 @@ class FetchUnit:
         self.next_seq = seq
         return fetched
 
-    def pop_ready(self, cycle: int) -> Optional[DynInst]:
-        """Take the oldest fetched instruction that has finished decode."""
-        if self.queue and self.queue[0][0] <= cycle:
-            return self.queue.popleft()[1]
-        return None
-
     @property
     def empty(self) -> bool:
         return not self.queue and self.stalled and self._redirect_at is None

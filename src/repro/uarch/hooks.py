@@ -6,11 +6,16 @@ its exact signature, in one place.  The base class is a no-op, so a bare
 :class:`~repro.uarch.core.Core` is a plain superscalar; the CI
 mechanism's :class:`~repro.ci.pipeline.MechanismPipeline` subclasses it
 and delegates each hook to its policy-selected components.
+
+The core resolves the per-event hooks once (:func:`bind_hooks`), right
+after ``attach``: a hook still resolving to the no-op base is bound as
+``None``, so an event no mechanism subscribes to costs the core one
+``is not None`` test (DESIGN.md §9.9).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Core, PortState
@@ -101,3 +106,32 @@ class MechanismHooks:
         """Extra cycles before a validated instruction's value is usable
         (the speculative-data-memory copy path)."""
         return 0
+
+
+#: The per-event hooks, in the order of the table above (``attach`` is
+#: called once and is not an event).
+HOOK_NAMES = ("dispatch_gate", "on_dispatch", "on_branch_resolved",
+              "on_recovery", "on_commit", "on_store_commit", "on_cycle",
+              "next_event_cycle", "validated_extra_latency")
+
+
+def bind_hooks(hooks: MechanismHooks) -> Dict[str, Optional[Callable]]:
+    """Resolve every per-event hook of an attached ``hooks`` once.
+
+    Maps each name in :data:`HOOK_NAMES` to the callable the core should
+    invoke, or to ``None`` where it is still the :class:`MechanismHooks`
+    no-op.  Call it *after* ``attach``: mechanisms install handlers
+    there as instance attributes (``MechanismPipeline``'s flattened
+    ``on_dispatch``, a tracing wrapper's timed hooks), and those count
+    as subscriptions like any subclass override.  A ``None`` entry
+    stands for the base default: ``dispatch_gate`` True,
+    ``on_store_commit`` False, ``next_event_cycle`` None,
+    ``validated_extra_latency`` 0.
+    """
+    table: Dict[str, Optional[Callable]] = {}
+    for name in HOOK_NAMES:
+        fn = getattr(hooks, name)
+        if getattr(fn, "__func__", None) is getattr(MechanismHooks, name):
+            fn = None
+        table[name] = fn
+    return table

@@ -1,7 +1,8 @@
 """Regenerate the golden refactor-equivalence outputs.
 
 The golden files pin the observable behaviour of the three pre-existing
-policies (``ci``, ``ci-iw``, ``vect``) across the full 12-kernel suite,
+policies (``ci``, ``ci-iw``, ``vect``) and of the two configurations
+without a mechanism (``scal``, ``wb``) across the full 12-kernel suite,
 plus one rendered figure table.  They were generated *before* the
 mechanism-pipeline refactor and must stay byte-identical afterwards
 (``tests/test_golden_equivalence.py``).
@@ -21,20 +22,31 @@ import os
 SCALE = 0.3
 SEED = 1
 POLICIES = ("ci", "ci-iw", "vect")
+#: runs without a mechanism attached (see ``golden_config``)
+BASELINES = ("scal", "wb")
 FIG_SCALE = 0.1
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def suite_stats(policy: str) -> dict:
+def golden_config(name: str):
+    """The config ``suite_<name>.json`` pins: a policy or a baseline."""
+    from repro.uarch import ci, scal, wb
+    if name == "scal":
+        return scal(1, 256)
+    if name == "wb":
+        return wb(1, 512)
+    return ci(1, 512, policy=name)
+
+
+def suite_stats(name: str) -> dict:
     from repro import run_program
-    from repro.uarch import ci
     from repro.workloads import build_program, kernel_names
+    cfg = golden_config(name)
     out = {}
-    for name in kernel_names():
-        prog = build_program(name, SCALE, SEED)
-        st = run_program(prog, ci(1, 512, policy=policy))
-        out[name] = st.as_dict()
+    for kernel in kernel_names():
+        prog = build_program(kernel, SCALE, SEED)
+        out[kernel] = run_program(prog, cfg).as_dict()
     return out
 
 
@@ -69,10 +81,10 @@ def run_keys() -> dict:
 
 
 def main() -> None:
-    for policy in POLICIES:
-        path = os.path.join(HERE, f"suite_{policy}.json")
+    for name in POLICIES + BASELINES:
+        path = os.path.join(HERE, f"suite_{name}.json")
         with open(path, "w") as fh:
-            json.dump(suite_stats(policy), fh, indent=1, sort_keys=True)
+            json.dump(suite_stats(name), fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")
     path = os.path.join(HERE, "fig05.txt")

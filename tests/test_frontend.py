@@ -53,11 +53,28 @@ class TestFetchWidth:
 
 class TestQueueAndRedirect:
     def test_frontend_depth_gates_pop(self):
+        # Dispatch takes the queue head once its ready_at cycle arrives.
         cfg = ProcessorConfig(frontend_depth=3)
         f = make("nop\nnop", cfg)
         f.fetch_cycle(1)
-        assert f.pop_ready(2) is None        # still in decode
-        assert f.pop_ready(4) is not None    # 1 + depth
+        assert [ready for ready, _ in f.queue] == [4, 4]   # 1 + depth
+
+    def test_frontend_depth_delays_dispatch(self):
+        from repro.observe.base import Observer
+        from repro.uarch import simulate
+
+        class DispatchLog(Observer):
+            def __init__(self):
+                self.cycles = []
+
+            def on_dispatch(self, inst, cycle):
+                self.cycles.append(cycle)
+
+        for depth in (1, 3):
+            log = DispatchLog()
+            simulate(assemble("nop\nnop\nhalt"),
+                     ProcessorConfig(frontend_depth=depth), observer=log)
+            assert log.cycles[0] == 1 + depth    # fetched at cycle 1
 
     def test_queue_capacity(self):
         cfg = ProcessorConfig(fetch_queue_size=10)
@@ -87,6 +104,5 @@ class TestQueueAndRedirect:
         f = make("nop")
         assert not f.empty
         f.fetch_cycle(1)
-        while f.pop_ready(10) is not None:
-            pass
+        f.queue.popleft()                    # dispatched
         assert f.empty

@@ -5,9 +5,10 @@ CIEngine monolith was split into registry-assembled components
 (``tests/golden/regenerate.py``).  These tests re-run the same points
 through the refactored pipeline and require byte-identical output:
 
-* every pre-existing policy (``ci``, ``ci-iw``, ``vect``) across the
-  full 12-kernel suite — the serialized ``SimStats.as_dict()`` payloads
-  must match the goldens byte for byte, and
+* every pre-existing policy (``ci``, ``ci-iw``, ``vect``) and both
+  configurations without a mechanism (``scal``, ``wb``) across the full
+  12-kernel suite — the serialized ``SimStats.as_dict()`` payloads must
+  match the goldens byte for byte, and
 * one rendered figure table (Figure 5), which additionally exercises
   the experiment runner and formatting layers.
 
@@ -33,20 +34,22 @@ def _golden_bytes(name: str) -> str:
         return fh.read()
 
 
-@pytest.mark.parametrize("policy", ["ci", "ci-iw", "vect"])
+@pytest.mark.parametrize("policy", ["ci", "ci-iw", "vect", "scal", "wb"])
 def test_suite_stats_byte_identical(policy):
     from repro import run_program
-    from repro.uarch import ci
+    from repro.uarch import ci, scal, wb
     from repro.workloads import build_program, kernel_names
 
+    # Keep in sync with golden_config in tests/golden/regenerate.py.
+    cfg = {"scal": scal(1, 256), "wb": wb(1, 512)}.get(policy) \
+        or ci(1, 512, policy=policy)
     out = {}
     for name in kernel_names():
         prog = build_program(name, SCALE, SEED)
-        st = run_program(prog, ci(1, 512, policy=policy))
-        out[name] = st.as_dict()
+        out[name] = run_program(prog, cfg).as_dict()
     produced = json.dumps(out, indent=1, sort_keys=True) + "\n"
     assert produced == _golden_bytes(f"suite_{policy}.json"), (
-        f"policy {policy!r} diverged from the pre-refactor golden")
+        f"{policy!r} diverged from its golden")
 
 
 @pytest.mark.parametrize("policy", [None] + policy_names())

@@ -134,9 +134,13 @@ class TestExecuteJobs:
         stats = execute_jobs(jobs, 2)
         assert len(stats) == 2 and all(s.committed > 0 for s in stats)
 
-    def test_pool_import_failure_falls_back_to_serial(self, monkeypatch):
+    @pytest.mark.parametrize("failure", [ImportError, NotImplementedError])
+    def test_pool_import_failure_falls_back_to_serial(self, monkeypatch,
+                                                      failure):
         # The pool modules load inside _run_pool_pass; a platform where
-        # they cannot be imported still gets every result, in-process.
+        # they cannot be imported, or where ProcessPoolExecutor refuses
+        # to start (no multiprocessing.synchronize: NotImplementedError),
+        # still gets every result, in-process.
         specs = [RunSpec(k, SCALE, SEED, ci(1, 512)) for k in ("eon", "gzip")]
         serial = make_runner(ResultCache(enabled=False)).run_many(specs)
         serial_calls = []
@@ -146,8 +150,17 @@ class TestExecuteJobs:
             serial_calls.append(args)
             run_serial(*args)
         monkeypatch.setattr(parallel_mod, "_run_serial", spy)
-        monkeypatch.setitem(sys.modules, "multiprocessing", None)
-        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        if failure is ImportError:
+            monkeypatch.setitem(sys.modules, "multiprocessing", None)
+            monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        else:
+            from concurrent.futures import process
+
+            def lacks_synchronize():
+                raise NotImplementedError(
+                    "This Python build lacks multiprocessing.synchronize")
+            monkeypatch.setattr(process, "_check_system_limits",
+                                lacks_synchronize)
         pooled = make_runner(ResultCache(enabled=False), jobs=2)
         stats = pooled.run_many(specs)
         assert len(serial_calls) == 1 and pooled.sims_run == 2

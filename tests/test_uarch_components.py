@@ -18,7 +18,7 @@ from repro.uarch import (
     with_spec_mem,
 )
 from repro.uarch.funits import FUPool
-from repro.isa import FUClass
+from repro.isa import FU_SLOT, FUClass, assemble
 
 
 class TestGshare:
@@ -193,25 +193,50 @@ class TestFreeList:
             assert 0 <= fl.free <= 16
 
 
+def _issues_per_cycle(src, cfg=None):
+    """Issue count per cycle when ``src`` runs on the core."""
+    from repro.observe.base import Observer
+    from repro.uarch import simulate
+
+    class IssueLog(Observer):
+        def __init__(self):
+            self.per_cycle = {}
+
+        def on_issue(self, inst, cycle, latency):
+            self.per_cycle[cycle] = self.per_cycle.get(cycle, 0) + 1
+
+    log = IssueLog()
+    simulate(assemble(src), cfg or ProcessorConfig(), observer=log)
+    return [n for _, n in sorted(log.per_cycle.items())]
+
+
 class TestFUPool:
     def test_capacities_match_table1(self):
         p = FUPool(ProcessorConfig())
-        assert p.available(FUClass.INT_ALU) == 6
-        assert p.available(FUClass.INT_MUL) == 3
-        assert p.available(FUClass.FP_ADD) == 4
-        assert p.available(FUClass.FP_MUL) == 2
+        assert p.capacity[FU_SLOT[FUClass.INT_ALU]] == 6
+        assert p.capacity[FU_SLOT[FUClass.INT_MUL]] == 3
+        assert p.capacity[FU_SLOT[FUClass.FP_ADD]] == 4
+        assert p.capacity[FU_SLOT[FUClass.FP_MUL]] == 2
+        assert p.avail == list(p.capacity)
 
     def test_div_shares_mul_units(self):
-        p = FUPool(ProcessorConfig())
-        for _ in range(3):
-            assert p.acquire(FUClass.INT_DIV)
-        assert not p.acquire(FUClass.INT_MUL)
+        assert FU_SLOT[FUClass.INT_DIV] == FU_SLOT[FUClass.INT_MUL]
+        assert FU_SLOT[FUClass.FP_DIV] == FU_SLOT[FUClass.FP_MUL]
+        assert FU_SLOT[FUClass.BRANCH] == FU_SLOT[FUClass.INT_ALU]
+        # Six independent multiplies and divides, dispatched together:
+        # the three shared mul/div units issue at most three a cycle.
+        body = [f"{'mul' if i % 2 else 'div'} r{1 + i}, r7, r8"
+                for i in range(6)]
+        counts = _issues_per_cycle("\n".join(body) + "\nhalt")
+        assert counts == [3, 3]
 
     def test_reset_restores(self):
-        p = FUPool(ProcessorConfig())
-        p.acquire(FUClass.INT_ALU)
-        p.reset()
-        assert p.available(FUClass.INT_ALU) == 6
+        # Twelve independent adds on one int ALU: the budget is spent in
+        # each cycle and restored in the next, one issue per cycle.
+        body = [f"addi r{1 + i % 6}, r0, {i}" for i in range(12)]
+        counts = _issues_per_cycle("\n".join(body) + "\nhalt",
+                                   ProcessorConfig(num_int_alu=1))
+        assert counts == [1] * 12
 
 
 class TestConfigs:
