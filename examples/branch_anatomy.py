@@ -19,7 +19,7 @@ import argparse
 
 from repro import run_program
 from repro.ci import estimate_reconvergent_point
-from repro.observe import AuditTrail, CPIStack, MultiObserver
+from repro.observe import AuditTrail, CPIStack, render_all
 from repro.trace import check_reconvergence, collect_trace, profile_trace
 from repro.uarch import ci
 from repro.workloads import build_program, kernel_names
@@ -65,9 +65,9 @@ def analyse(name: str, scale: float = 0.5) -> None:
               "them out and the mechanism stays quiet")
 
     # Second pass: what actually happened in the timing simulation.
-    observer = MultiObserver([CPIStack(), AuditTrail()])
-    stats = run_program(prog, ci(1, 512), observer=observer)
-    audit = observer.children[1]
+    audit = AuditTrail()
+    observers = [CPIStack(), audit]
+    stats = run_program(prog, ci(1, 512), observer=observers)
     print(f"\nobserved under ci(1 port, 512 regs): "
           f"IPC {stats.ipc:.3f}, reuse {stats.reuse_fraction:.1%}, "
           f"{stats.ci_events} CI events")
@@ -78,7 +78,7 @@ def analyse(name: str, scale: float = 0.5) -> None:
     else:
         print("  no hard mispredicted branches reached the mechanism")
     print()
-    print(observer.render())
+    print(render_all(observers))
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ from .isa import Program, assemble
 from .observe import Observer
 from .uarch import Core, MechanismHooks, ProcessorConfig, SimStats, simulate
 from .uarch import config as configs
+from .uarch.hooks import flatten
 from .workloads import build_program, build_suite, kernel_names
 
 __version__ = "1.0.0"
@@ -33,16 +34,26 @@ def hooks_for(cfg: ProcessorConfig) -> Optional[MechanismHooks]:
     return MechanismPipeline() if cfg.ci_policy else None
 
 
+def subscribers(cfg: ProcessorConfig, observer=None, injector=None,
+                checker=None) -> list:
+    """One run's subscribers in event-table order: the fault
+    ``injector``, the mechanism for ``cfg``, ``observer`` (one or a
+    list), then the invariant ``checker``; ``None`` parts are left out."""
+    return flatten(injector, hooks_for(cfg), observer, checker)
+
+
 def run_program(program: Program, cfg: Optional[ProcessorConfig] = None,
                 max_instructions: Optional[int] = None,
-                observer: Optional[Observer] = None,
-                faults=None, check: Optional[bool] = None) -> SimStats:
+                observer=None, faults=None,
+                check: Optional[bool] = None) -> SimStats:
     """Simulate ``program`` under ``cfg`` with the right mechanism attached.
 
-    ``faults`` (or ``REPRO_FAULTS``) is a fault-plan spec string or
-    :class:`repro.faults.FaultPlan`; the run executes under a
-    :class:`~repro.faults.FaultInjector`.  ``check`` (or ``REPRO_CHECK=1``)
-    attaches the per-cycle invariant checker and the end-of-run
+    ``observer`` is an :class:`Observer` or a list of them.  ``faults``
+    (or ``REPRO_FAULTS``) is a fault-plan spec string or
+    :class:`repro.faults.FaultPlan`; the run executes with a
+    :class:`~repro.faults.FaultInjector` subscribed ahead of the
+    mechanism.  ``check`` (or ``REPRO_CHECK=1``) subscribes the
+    per-cycle invariant checker and runs the end-of-run
     architectural-state oracle, raising on the first violation.  With
     neither active this is the plain fast path — no fault machinery is
     even imported.
@@ -53,22 +64,17 @@ def run_program(program: Program, cfg: Optional[ProcessorConfig] = None,
     if check is None:
         check = os.environ.get("REPRO_CHECK", "").lower() in (
             "1", "on", "yes", "true")
-    hooks = hooks_for(cfg)
     if faults is None and not check:
-        return simulate(program, cfg, hooks=hooks,
+        return simulate(program, cfg, hooks=hooks_for(cfg),
                         max_instructions=max_instructions, observer=observer)
     from .faults import FaultInjector, FaultPlan, InvariantChecker
     from .faults.oracle import check_final_state
-    from .observe import MultiObserver
+    injector = None
     if faults is not None:
-        plan = faults if isinstance(faults, FaultPlan) \
-            else FaultPlan.parse(str(faults))
-        hooks = FaultInjector(plan, inner=hooks)
-    obs = observer
-    if check:
-        checker = InvariantChecker(strict=True)
-        obs = checker if obs is None else MultiObserver([obs, checker])
-    core = Core(cfg, program, hooks, observer=obs)
+        injector = FaultInjector(faults if isinstance(faults, FaultPlan)
+                                 else FaultPlan.parse(str(faults)))
+    checker = InvariantChecker(strict=True) if check else None
+    core = Core(cfg, program, subscribers(cfg, observer, injector, checker))
     stats = core.run(max_instructions=max_instructions)
     if check:
         check_final_state(core)
@@ -78,7 +84,7 @@ def run_program(program: Program, cfg: Optional[ProcessorConfig] = None,
 def run_kernel(name: str, cfg: Optional[ProcessorConfig] = None,
                scale: float = 1.0, seed: int = 1,
                max_instructions: Optional[int] = None,
-               observer: Optional[Observer] = None) -> SimStats:
+               observer=None) -> SimStats:
     """Build one suite kernel and simulate it under ``cfg``."""
     return run_program(build_program(name, scale, seed), cfg,
                        max_instructions=max_instructions, observer=observer)
@@ -105,6 +111,7 @@ __all__ = [
     "run_program",
     "runtime",
     "simulate",
+    "subscribers",
     "uarch",
     "workloads",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..observe.events import ReuseEvent
+from ..observe.events import EventKind, ReuseEvent
 from ..uarch.hooks import MechanismHooks
 from .specmem import SpecDataMemory
 
@@ -40,22 +40,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class MechanismPipeline(MechanismHooks):
     """Control-flow independence reuse as a pipeline of typed components."""
 
-    #: fault-injection port (see ``repro.faults.FaultInjector``): when a
-    #: wrapping injector attaches it sets this to itself, and components
-    #: pull planned denials/failures at their decision sites — injected
-    #: faults ride the real failure paths instead of bypassing them
+    #: fault-injection port (see ``repro.faults.FaultInjector``): an
+    #: injector subscribed to the same core sets this to itself, and
+    #: components pull planned denials/failures at their decision sites
+    #: — injected faults ride the real failure paths instead of
+    #: bypassing them
     faults: Optional[Any] = None
 
     def __init__(self, spec: Optional["PolicySpec"] = None):
         self.spec = spec
         self.core: Optional["Core"] = None
-        self.obs = None
 
     # ------------------------------------------------------------------
     def attach(self, core: "Core") -> None:
         from .registry import build_components, get_policy
         self.core = core
-        self.obs = core.active_observer
+        self._emit_mbs_verdict = core.events[EventKind.MBS_VERDICT]
         cfg = core.cfg
         self.cfg = cfg
         self.stats = core.stats
@@ -137,9 +137,9 @@ class MechanismPipeline(MechanismHooks):
 
     def on_branch_resolved(self, inst: "DynInst") -> None:
         inst.hard_branch = self.filter.is_hard(inst.pc)
-        if self.obs is not None:
-            self.obs.on_mbs_verdict(inst.pc, inst.hard_branch,
-                                    inst.mispredicted, self.core.cycle)
+        if self._emit_mbs_verdict is not None:
+            self._emit_mbs_verdict(inst.pc, inst.hard_branch,
+                                   inst.mispredicted, self.core.cycle)
 
     def on_recovery(self, pivot: "DynInst", squashed, is_branch: bool) -> None:
         if self.tracker is not None:
@@ -190,40 +190,3 @@ class MechanismPipeline(MechanismHooks):
         # visible cost is read-port queueing only (the paper reports the
         # copy path as non-critical: a 5-cycle memory costs just ~3%).
         return max(0, self.spec_mem.copy_latency(self.core.cycle) - 2)
-
-    # ------------------------------------------------------------------
-    # Component accessors kept for tests / tooling from the monolith era.
-    # ------------------------------------------------------------------
-    @property
-    def mbs(self):
-        return self.filter.mbs
-
-    @property
-    def stride(self):
-        assert self.selector is not None
-        return self.selector.stride
-
-    @property
-    def srsmt(self):
-        assert self.replicas is not None
-        return self.replicas.srsmt
-
-    @property
-    def scheduler(self):
-        assert self.replicas is not None
-        return self.replicas.scheduler
-
-    @property
-    def nrbq(self):
-        assert self.tracker is not None
-        return self.tracker.nrbq
-
-    @property
-    def crp(self):
-        assert self.tracker is not None
-        return self.tracker.crp
-
-    @property
-    def reuse_buffer(self):
-        assert self.squash_reuse is not None
-        return self.squash_reuse.buffer

@@ -25,9 +25,10 @@ never commits wrong values — mismatches count as validation failures.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..isa.predecode import F_LOAD, F_WRITES_REG
+from ..observe.events import EventKind
 from ..uarch.rename import FreeList
 from .srsmt import SCALAR, SELF, VEC, Operand, ReplicaScheduler, SRSMT, SRSMTEntry
 
@@ -51,7 +52,11 @@ class ReplicaManager:
         cfg = pipeline.cfg
         self.core = core
         self.cfg = cfg
-        self.obs = pipeline.obs
+        events = core.events
+        self._emit_alloc_fail = events[EventKind.SRSMT_ALLOC_FAIL]
+        self._emit_replicas_created = events[EventKind.REPLICAS_CREATED]
+        self._emit_validation = events[EventKind.VALIDATION]
+        self._emit_coherence_conflict = events[EventKind.COHERENCE_CONFLICT]
         self.stats = pipeline.stats
         self.stride = pipeline.selector.stride
         self.srsmt = SRSMT(cfg.srsmt_sets, cfg.srsmt_ways,
@@ -218,63 +223,54 @@ class ReplicaManager:
             if prod is not None and self._create_dep_load_entry(inst, prod):
                 rename.vect_pc[instr.rd] = inst.pc
 
-    def _create_dep_load_entry(self, inst: "DynInst", prod) -> bool:
+    def _new_entry(self, inst: "DynInst", event) -> Optional[SRSMTEntry]:
+        """Allocate replicas for ``inst``; the caller shapes the entry
+        (load pattern or operands) and passes it to :meth:`_install`."""
         nregs = self._alloc_replicas(self.cfg.replicas)
         if nregs == 0:
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, prod.event, "no-regs",
-                                             self.core.cycle)
-            return False
-        spec_mem = self.pipeline.spec_mem
+            if self._emit_alloc_fail is not None:
+                self._emit_alloc_fail(inst.pc, event, "no-regs",
+                                      self.core.cycle)
+            return None
         entry = SRSMTEntry(inst.pc, inst.instr, nregs,
-                           storage="specmem" if spec_mem else "rf")
+                           storage="specmem" if self.pipeline.spec_mem
+                           else "rf")
         entry.regs_held = nregs * self._vect_factor
+        entry.event = event
+        return entry
+
+    def _install(self, inst: "DynInst", entry: SRSMTEntry) -> bool:
+        """Insert a shaped entry and queue its replicas for issue."""
+        if not self.srsmt.try_insert(entry):
+            self._release_regs(entry.regs_held)
+            self.stats.srsmt_alloc_failures += 1
+            if self._emit_alloc_fail is not None:
+                self._emit_alloc_fail(inst.pc, entry.event, "no-srsmt-way",
+                                      self.core.cycle)
+            return False
+        self.scheduler.enqueue_batch(entry)
+        self.stats.replicas_created += entry.nregs
+        self.stats.replica_batches += 1
+        if self._emit_replicas_created is not None:
+            self._emit_replicas_created(inst.pc, entry.nregs, entry.event,
+                                        self.core.cycle)
+        return True
+
+    def _create_dep_load_entry(self, inst: "DynInst", prod) -> bool:
+        entry = self._new_entry(inst, prod.event)
+        if entry is None:
+            return False
         entry.addr_operand = Operand(VEC, producer=prod,
                                      producer_generation=prod.generation,
                                      base=prod.decode)
-        entry.event = prod.event
-        if not self.srsmt.try_insert(entry):
-            self._release_regs(nregs * self._vect_factor)
-            self.stats.srsmt_alloc_failures += 1
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, prod.event,
-                                             "no-srsmt-way", self.core.cycle)
-            return False
-        self.scheduler.enqueue_batch(entry)
-        self.stats.replicas_created += nregs
-        self.stats.replica_batches += 1
-        if self.obs is not None:
-            self.obs.on_replicas_created(inst.pc, nregs, prod.event,
-                                         self.core.cycle)
-        return True
+        return self._install(inst, entry)
 
     def _create_load_entry(self, inst: "DynInst", stride: int, event) -> bool:
-        nregs = self._alloc_replicas(self.cfg.replicas)
-        if nregs == 0:
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, event, "no-regs",
-                                             self.core.cycle)
+        entry = self._new_entry(inst, event)
+        if entry is None:
             return False
-        spec_mem = self.pipeline.spec_mem
-        entry = SRSMTEntry(inst.pc, inst.instr, nregs,
-                           storage="specmem" if spec_mem else "rf")
-        entry.regs_held = nregs * self._vect_factor
         entry.set_load_pattern(inst.eff_addr, stride)
-        entry.event = event
-        if not self.srsmt.try_insert(entry):
-            self._release_regs(nregs * self._vect_factor)
-            self.stats.srsmt_alloc_failures += 1
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, event, "no-srsmt-way",
-                                             self.core.cycle)
-            return False
-        self.scheduler.enqueue_batch(entry)
-        self.stats.replicas_created += nregs
-        self.stats.replica_batches += 1
-        if self.obs is not None:
-            self.obs.on_replicas_created(inst.pc, nregs, event,
-                                         self.core.cycle)
-        return True
+        return self._install(inst, entry)
 
     # -- ALU dependents: vectorize when a source is vectorized ------------
     def _dispatch_alu(self, inst: "DynInst") -> None:
@@ -326,32 +322,12 @@ class ReplicaManager:
         event = next((o.producer.event for o in operands
                       if o.kind == VEC and o.producer is not None
                       and o.producer.event), None)
-        nregs = self._alloc_replicas(self.cfg.replicas)
-        if nregs == 0:
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, event, "no-regs",
-                                             self.core.cycle)
+        entry = self._new_entry(inst, event)
+        if entry is None:
             return
-        spec_mem = self.pipeline.spec_mem
-        entry = SRSMTEntry(inst.pc, instr, nregs,
-                           storage="specmem" if spec_mem else "rf")
-        entry.regs_held = nregs * self._vect_factor
         entry.operands = operands
-        entry.event = event
-        if not self.srsmt.try_insert(entry):
-            self._release_regs(nregs * self._vect_factor)
-            self.stats.srsmt_alloc_failures += 1
-            if self.obs is not None:
-                self.obs.on_srsmt_alloc_fail(inst.pc, event, "no-srsmt-way",
-                                             self.core.cycle)
-            return
-        self.scheduler.enqueue_batch(entry)
-        self.stats.replicas_created += nregs
-        self.stats.replica_batches += 1
-        if self.obs is not None:
-            self.obs.on_replicas_created(inst.pc, nregs, event,
-                                         self.core.cycle)
-        rename.vect_pc[instr.rd] = inst.pc
+        if self._install(inst, entry):
+            rename.vect_pc[instr.rd] = inst.pc
 
     # -- validation (step 4) ----------------------------------------------
     def _validate(self, inst: "DynInst", entry: SRSMTEntry) -> bool:
@@ -362,16 +338,16 @@ class ReplicaManager:
         re-creation happens naturally on a later fetch)."""
         instr = inst.instr
         idx = entry.decode
-        obs = self.obs
+        emit_validation = self._emit_validation
         if idx >= entry.nregs:
             # Batch exhausted: re-batch immediately from this instance (it
             # executes normally and seeds the next replica set).  Waiting
             # for full commit would desynchronise chained entries.
             event = entry.event
             self.srsmt.deallocate(entry)
-            if obs is not None:
-                obs.on_validation(inst.pc, event, False, "batch-exhausted",
-                                  self.core.cycle)
+            if emit_validation is not None:
+                emit_validation(inst.pc, event, False, "batch-exhausted",
+                                self.core.cycle)
             if instr.is_load:
                 se = self.stride.confident(inst.pc)
                 blacklist = self.cfg.ci_conflict_blacklist
@@ -420,9 +396,8 @@ class ReplicaManager:
                 # a validation that would have succeeded — and then rides
                 # the full failure path (stats, streaks, deallocation).
                 ok, reason = False, "fault-injected"
-        if obs is not None:
-            obs.on_validation(inst.pc, entry.event, ok, reason,
-                              self.core.cycle)
+        if emit_validation is not None:
+            emit_validation(inst.pc, entry.event, ok, reason, self.core.cycle)
         if not ok:
             self.stats.replica_validation_failures += 1
             self._fail_streak[inst.pc] = min(
@@ -502,9 +477,8 @@ class ReplicaManager:
             if se is not None:
                 se.selected = False
                 se.conflicts += 1
-            if self.obs is not None:
-                self.obs.on_coherence_conflict(entry.pc, addr,
-                                               self.core.cycle)
+            if self._emit_coherence_conflict is not None:
+                self._emit_coherence_conflict(entry.pc, addr, self.core.cycle)
             self.srsmt.deallocate(entry)
             conflict = True
         return conflict

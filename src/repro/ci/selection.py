@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..observe.events import EventKind
 from .stride import StridePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,7 +37,9 @@ class SliceSelector:
         self.pipeline = pipeline
         cfg = pipeline.cfg
         self.cfg = cfg
-        self.obs = pipeline.obs
+        events = pipeline.core.events
+        self._emit_ci_selected = events[EventKind.CI_SELECTED]
+        self._emit_slice_marked = events[EventKind.SLICE_MARKED]
         self.stats = pipeline.stats
         self.stride = StridePredictor(cfg.stride_sets, cfg.stride_ways)
 
@@ -54,23 +57,22 @@ class SliceSelector:
         if not tracker.crp.sources_clean(instr.srcs):
             return
         ev = tracker.event
-        obs = self.obs
         if ev is not None and not ev.counted_selected:
             ev.selected = True
             ev.counted_selected = True
             self.stats.ci_selected += 1
-            if obs is not None:
-                obs.on_ci_selected(ev, inst.pc, self.pipeline.core.cycle)
+            if self._emit_ci_selected is not None:
+                self._emit_ci_selected(ev, inst.pc, self.pipeline.core.cycle)
         # Select every strided load in the backward slice (rename table's
         # stridedPC extension) for vectorization next time it is fetched.
         rename = self.pipeline.core.rename
+        emit_slice_marked = self._emit_slice_marked
         for r in instr.srcs:
             for lpc in rename.strided_pcs[r]:
                 ok = self.stride.mark_selected(
                     lpc, ev, conflict_blacklist=self.cfg.ci_conflict_blacklist)
-                if obs is not None:
-                    obs.on_slice_marked(ev, lpc, ok,
-                                        self.pipeline.core.cycle)
+                if emit_slice_marked is not None:
+                    emit_slice_marked(ev, lpc, ok, self.pipeline.core.cycle)
 
     def on_load_retire(self, pc: int, eff_addr: int) -> None:
         """Train the stride predictor on a committed load."""

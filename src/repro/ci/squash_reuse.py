@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..observe.events import EventKind
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..uarch.rob import DynInst
     from .pipeline import MechanismPipeline
@@ -97,7 +99,9 @@ class SquashReuseUnit:
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
         self.pipeline = pipeline
-        self.obs = pipeline.obs
+        events = pipeline.core.events
+        self._emit_ci_selected = events[EventKind.CI_SELECTED]
+        self._emit_validation = events[EventKind.VALIDATION]
         self.stats = pipeline.stats
         self.buffer = SquashReuseBuffer(capacity=pipeline.cfg.window_size)
 
@@ -110,9 +114,9 @@ class SquashReuseUnit:
             event.selected = True
             event.counted_selected = True
             self.stats.ci_selected += 1
-            if self.obs is not None:
-                self.obs.on_ci_selected(event, pivot.pc,
-                                        self.pipeline.core.cycle)
+            if self._emit_ci_selected is not None:
+                self._emit_ci_selected(event, pivot.pc,
+                                       self.pipeline.core.cycle)
 
     def on_dispatch(self, inst: "DynInst") -> None:
         """Validate a correct-path re-fetch against a harvested result."""
@@ -125,6 +129,6 @@ class SquashReuseUnit:
         inst.validated = True
         self.stats.replica_validations += 1
         self.pipeline.credit_reuse(rec.event)
-        if self.obs is not None:
-            self.obs.on_validation(inst.pc, rec.event, True, "squash-reuse",
-                                   self.pipeline.core.cycle)
+        if self._emit_validation is not None:
+            self._emit_validation(inst.pc, rec.event, True, "squash-reuse",
+                                  self.pipeline.core.cycle)

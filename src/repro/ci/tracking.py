@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..isa import Instruction, Program
 from ..isa.predecode import F_COND_BRANCH, F_WRITES_REG
-from ..observe.events import ReuseEvent
+from ..observe.events import EventKind, ReuseEvent
 from .reconverge import CRP, NRBQ, estimate_reconvergent_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,7 +39,10 @@ class ReconvergenceTracker:
         self.pipeline = pipeline
         cfg = pipeline.cfg
         self.cfg = cfg
-        self.obs = pipeline.obs
+        events = pipeline.core.events
+        self._emit_crp_disarm = events[EventKind.CRP_DISARM]
+        self._emit_ci_untracked = events[EventKind.CI_UNTRACKED]
+        self._emit_ci_event = events[EventKind.CI_EVENT]
         self.stats = pipeline.stats
         self.nrbq = NRBQ(cfg.nrbq_size)
         self.crp = CRP()
@@ -61,14 +64,6 @@ class ReconvergenceTracker:
     # -- re-convergence estimates (cached per branch PC) -----------------
     def _estimate(self, program: Program, instr: Instruction) -> int:
         return estimate_reconvergent_point(program, instr)
-
-    def reconv(self, instr: Instruction) -> int:
-        pc = instr.pc
-        est = self._reconv_cache.get(pc)
-        if est is None:
-            est = self._estimate(self.pipeline.core.program, instr)
-            self._reconv_cache[pc] = est
-        return est
 
     # -- dispatch: NRBQ tracking + CRP mask -------------------------------
     def on_dispatch(self, inst: "DynInst") -> None:
@@ -92,16 +87,16 @@ class ReconvergenceTracker:
                 selector.on_ci_candidate(inst)
             if self._decodes_since_reached > self.cfg.ci_select_window:
                 self.crp.disarm()
-                if self.obs is not None:
-                    self.obs.on_crp_disarm("window-exhausted",
-                                           self.pipeline.core.cycle)
+                if self._emit_crp_disarm is not None:
+                    self._emit_crp_disarm("window-exhausted",
+                                          self.pipeline.core.cycle)
         else:
             self._decodes_since_armed += 1
             if self._decodes_since_armed > 4 * self.cfg.ci_select_window:
                 self.crp.disarm()  # estimate was never reached: give up
-                if self.obs is not None:
-                    self.obs.on_crp_disarm("never-reached",
-                                           self.pipeline.core.cycle)
+                if self._emit_crp_disarm is not None:
+                    self._emit_crp_disarm("never-reached",
+                                          self.pipeline.core.cycle)
 
     # -- recovery: arm on a hard misprediction ---------------------------
     def on_misprediction(self, pivot: "DynInst",
@@ -111,19 +106,18 @@ class ReconvergenceTracker:
         When the policy carries a squash-reuse unit instead of a CRP
         (``ci-iw``), the harvested results *are* the reuse — the unit
         takes over from the mask construction."""
-        obs = self.obs
         nrbq_entry = self.nrbq.find(pivot.seq)
         if nrbq_entry is None:
-            if obs is not None:
-                obs.on_ci_untracked(pivot.pc, pivot.seq,
-                                    self.pipeline.core.cycle)
+            if self._emit_ci_untracked is not None:
+                self._emit_ci_untracked(pivot.pc, pivot.seq,
+                                        self.pipeline.core.cycle)
             return  # branch was not tracked (NRBQ full)
         self.stats.ci_events += 1
         event = ReuseEvent(branch_pc=pivot.pc, seq=pivot.seq)
         self.event = event
-        if obs is not None:
-            obs.on_ci_event(event, pivot.pc, pivot.seq,
-                            self.pipeline.core.cycle)
+        if self._emit_ci_event is not None:
+            self._emit_ci_event(event, pivot.pc, pivot.seq,
+                                self.pipeline.core.cycle)
         mask0 = self._wrong_path_mask(nrbq_entry.reconv_pc, squashed)
         squash_reuse = self.pipeline.squash_reuse
         if squash_reuse is not None:

@@ -184,17 +184,17 @@ def _load_program(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     import os
-    from .observe import make_observer
+    from .observe import make_observer, render_all
     prog = _load_program(args)
     if args.sample is not None:
         return _run_sampled(args, prog)
     spec = args.observe if args.observe is not None \
         else os.environ.get("REPRO_OBSERVE")
-    observer = make_observer(spec)
+    observers = make_observer(spec)
     cfg = make_config(args)
     check = True if args.check else None   # None = honour REPRO_CHECK
     try:
-        st = run_program(prog, cfg, observer=observer,
+        st = run_program(prog, cfg, observer=observers,
                          faults=args.faults, check=check)
     except ValueError as exc:              # bad --faults spec
         print(f"error: {exc}", file=sys.stderr)
@@ -231,11 +231,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         # One digit per interval, 0-9 ~ IPC 0-4.5+ (warm-up at a glance).
         timeline = "".join(str(min(9, int(x * 2))) for x in series)
         print(f"IPC timeline       : {timeline}")
-    if observer is not None:
-        report = observer.render()
-        if report:
-            print()
-            print(report)
+    report = render_all(observers)
+    if report:
+        print()
+        print(report)
     return 0
 
 
@@ -302,14 +301,14 @@ def cmd_pipeview(args: argparse.Namespace) -> int:
 
 
 def cmd_why(args: argparse.Namespace) -> int:
-    from .observe import AuditTrail, CPIStack, MultiObserver
+    from .observe import AuditTrail, CPIStack, render_all
     prog = _load_program(args)
-    observer = MultiObserver([CPIStack(), AuditTrail()])
-    st = run_program(prog, make_config(args), observer=observer)
+    observers = [CPIStack(), AuditTrail()]
+    st = run_program(prog, make_config(args), observer=observers)
     print(f"{prog.name}: {st.committed} committed / {st.cycles} cycles "
           f"(IPC {st.ipc:.3f}) under {args.scheme}")
     print()
-    print(observer.render())
+    print(render_all(observers))
     return 0
 
 

@@ -9,9 +9,10 @@ systematically instead of waiting for a workload to stumble into them:
   of forced squashes, replica-validation failures, SRSMT alloc denials,
   stride-predictor poisoning, replica-value poisoning, and (for the
   runtime-resilience tests) worker crashes;
-* :class:`FaultInjector` — a ``MechanismHooks`` wrapper that fires the
-  plan through legitimate microarchitectural entry points (the
-  pipeline's fault port, the branch-resolution hook);
+* :class:`FaultInjector` — a subscriber of the core's event table,
+  ahead of the mechanism, that fires the plan through legitimate
+  microarchitectural entry points (the pipeline's fault port, the
+  branch-resolution hook);
 * :mod:`repro.faults.oracle` — the differential oracle holding every
   faulted run to the correctness contract: final architectural state
   (register file + memory) identical to the functional ``isa/interp``
@@ -135,27 +136,21 @@ def run_checked(program, cfg=None, plan: Optional[FaultPlan] = None,
                 max_instructions: Optional[int] = None) -> FaultReport:
     """Simulate ``program`` with faults injected and every check armed.
 
-    Wraps the config's mechanism hooks in a :class:`FaultInjector` (when
-    ``plan`` is given), attaches a non-strict :class:`InvariantChecker`
-    next to any caller observer, runs the core, and compares the final
+    Builds the same subscriber list as :func:`repro.run_program` — a
+    :class:`FaultInjector` (when ``plan`` is given), the config's
+    mechanism, any caller observer, and a non-strict
+    :class:`InvariantChecker` — runs the core, and compares the final
     architectural state against the functional interpreter.  A planned
     ``crash`` fault is caught and reported; real simulation errors
     propagate.
     """
-    from .. import hooks_for
-    from ..observe import MultiObserver
+    from .. import subscribers
     from ..uarch import Core, ProcessorConfig
 
     cfg = cfg or ProcessorConfig()
-    hooks = hooks_for(cfg)
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan, inner=hooks)
-        hooks = injector
+    injector = FaultInjector(plan) if plan is not None else None
     checker = InvariantChecker(strict=False)
-    obs = checker if observer is None \
-        else MultiObserver([observer, checker])
-    core = Core(cfg, program, hooks=hooks, observer=obs)
+    core = Core(cfg, program, subscribers(cfg, observer, injector, checker))
     report = FaultReport(program=program.name, policy=cfg.ci_policy,
                          stats=None)
     try:

@@ -1,15 +1,15 @@
-"""FaultInjector — perturb a live simulation through the hook surface.
+"""FaultInjector — perturb a live simulation through the event table.
 
-The injector is a :class:`~repro.uarch.hooks.MechanismHooks` wrapper: it
-delegates every hook to the wrapped mechanism (or the no-op base for a
-bare superscalar) and fires the armed faults of its
-:class:`~repro.faults.plan.FaultPlan` at their cycles.  Faults are
-injected through legitimate microarchitectural entry points only — a
-forced squash flips the recorded branch prediction before the core's
-recovery check, replica faults go through the
-:class:`~repro.ci.pipeline.MechanismPipeline` fault port — so every
-injection exercises a real recovery path rather than corrupting
-simulator bookkeeping.
+The injector is a subscriber of the core's event table, listed ahead of
+the mechanism (``uarch/hooks.py``): it overrides only the events it acts
+on — branch resolution, the end-of-cycle hook and the skip-ahead query
+— and fires the armed faults of its :class:`~repro.faults.plan.FaultPlan`
+at their cycles.  Faults are injected through legitimate
+microarchitectural entry points only — a forced squash flips the
+recorded branch prediction before the core's recovery check, replica
+faults go through the :class:`~repro.ci.pipeline.MechanismPipeline`
+fault port — so every injection exercises a real recovery path rather
+than corrupting simulator bookkeeping.
 
 Correctness contract: no fault kind may change the *architectural*
 outcome of the program.  Squashes re-fetch the correct path; poisoned
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..observe.events import EventKind
 from ..uarch.hooks import MechanismHooks
 from .plan import FaultPlan, FaultSpec
 
@@ -40,28 +41,24 @@ class InjectedCrash(RuntimeError):
 
 
 class FaultInjector(MechanismHooks):
-    """Wrap mechanism hooks and fire the plan's faults at their cycles."""
+    """Fire the plan's faults at their cycles, ahead of the mechanism."""
 
-    def __init__(self, plan: FaultPlan,
-                 inner: Optional[MechanismHooks] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.inner = inner if inner is not None else MechanismHooks()
         #: chronological log of fired faults (dicts; see ``_record``)
         self.injected: List[dict] = []
-
-    @property
-    def has_replicas(self) -> bool:
-        return self.inner.has_replicas
 
     # ------------------------------------------------------------------
     def attach(self, core: "Core") -> None:
         self.core = core
-        self.obs = core.active_observer
-        self.inner.attach(core)
+        self._emit_fault_injected = core.events[EventKind.FAULT_INJECTED]
         # Mechanism-internal faults (alloc denial, validation failure) are
-        # pulled by the pipeline through this port at their decision sites.
-        if hasattr(self.inner, "faults"):
-            self.inner.faults = self
+        # pulled by the pipeline through this port at its decision sites;
+        # the state poisons reach into its components.
+        self.mechanism = next((s for s in core.subscribers
+                               if hasattr(s, "faults")), None)
+        if self.mechanism is not None:
+            self.mechanism.faults = self
         #: per-kind FIFO of armed specs for this program, cycle-ordered
         self._queues: Dict[str, List[FaultSpec]] = {}
         for spec in self.plan.for_program(core.program.name):
@@ -84,8 +81,8 @@ class FaultInjector(MechanismHooks):
         now = self.core.cycle
         self.injected.append({"kind": spec.kind, "armed": spec.cycle,
                               "cycle": now, "detail": detail})
-        if self.obs is not None:
-            self.obs.on_fault_injected(spec.kind, detail, now)
+        if self._emit_fault_injected is not None:
+            self._emit_fault_injected(spec.kind, detail, now)
 
     def unapplied(self) -> List[FaultSpec]:
         """Specs that never found an opportunity to fire."""
@@ -122,19 +119,16 @@ class FaultInjector(MechanismHooks):
         return True
 
     # ------------------------------------------------------------------
-    # Hook surface.
+    # Subscribed events.
     # ------------------------------------------------------------------
-    def on_dispatch(self, inst: "DynInst") -> None:
-        self.inner.on_dispatch(inst)
-
     def on_branch_resolved(self, inst: "DynInst") -> None:
-        self.inner.on_branch_resolved(inst)
         # Forced squash: flip the recorded prediction of a *correctly*
         # predicted, still-live branch.  The core's recovery check runs
-        # right after this hook and walks the window back to the branch's
-        # true target — the standard misprediction path, at a point the
-        # predictor got right.  (Flipping an already-mispredicted branch
-        # would *suppress* its recovery and corrupt architectural state.)
+        # right after this event and walks the window back to the
+        # branch's true target — the standard misprediction path, at a
+        # point the predictor got right.  (Flipping an already-mispredicted
+        # branch would *suppress* its recovery and corrupt architectural
+        # state.)
         if (self._pending("squash") and not inst.squashed
                 and inst.pred_taken is not None and not inst.mispredicted):
             spec = self._queues["squash"].pop(0)
@@ -142,29 +136,11 @@ class FaultInjector(MechanismHooks):
             self._record(spec, f"forced squash at branch pc={inst.pc} "
                                f"seq={inst.seq}")
 
-    def on_recovery(self, pivot: "DynInst", squashed: List["DynInst"],
-                    is_branch: bool) -> None:
-        self.inner.on_recovery(pivot, squashed, is_branch)
-
-    def on_commit(self, inst: "DynInst") -> None:
-        self.inner.on_commit(inst)
-
-    def on_store_commit(self, inst: "DynInst") -> bool:
-        return self.inner.on_store_commit(inst)
-
-    def dispatch_gate(self) -> bool:
-        return self.inner.dispatch_gate()
-
-    def validated_extra_latency(self, inst: "DynInst") -> int:
-        return self.inner.validated_extra_latency(inst)
-
     def next_event_cycle(self):
         # Undelivered faults arm/retry from on_cycle (crash timers tick,
         # state poisons probe for a live target), so the core must not
         # skip cycles while any remain queued.
-        if any(self._queues.values()):
-            return 0
-        return self.inner.next_event_cycle()
+        return 0 if any(self._queues.values()) else None
 
     def on_cycle(self, leftover_issue_slots: int, ports: "PortState") -> None:
         spec = self._due("crash")
@@ -184,14 +160,13 @@ class FaultInjector(MechanismHooks):
             detail = self._poison_replica()
             if detail is not None:
                 self._record(self._queues["replica-poison"].pop(0), detail)
-        self.inner.on_cycle(leftover_issue_slots, ports)
 
     # ------------------------------------------------------------------
     # State poisoning.
     # ------------------------------------------------------------------
     def _poison_stride(self) -> Optional[str]:
         """Corrupt the lowest-pc confident stride entry (if any)."""
-        selector = getattr(self.inner, "selector", None)
+        selector = getattr(self.mechanism, "selector", None)
         if selector is None:
             return None
         stride = selector.stride
@@ -210,7 +185,7 @@ class FaultInjector(MechanismHooks):
 
     def _poison_replica(self) -> Optional[str]:
         """XOR-corrupt the precomputed values of one live replica batch."""
-        replicas = getattr(self.inner, "replicas", None)
+        replicas = getattr(self.mechanism, "replicas", None)
         if replicas is None:
             return None
         entries = sorted(replicas.srsmt.all_entries(), key=lambda e: e.pc)

@@ -64,11 +64,10 @@ class InvariantChecker(Observer):
 
     @staticmethod
     def _mechanism(core):
-        """The mechanism pipeline, unwrapping a fault injector if present."""
-        hooks = core.hooks
-        hooks = getattr(hooks, "inner", hooks)
-        return hooks if getattr(hooks, "tracker", None) is not None \
-            or getattr(hooks, "replicas", None) is not None else None
+        """The subscribed mechanism pipeline with tracked state, if any."""
+        return next((s for s in core.subscribers
+                     if getattr(s, "tracker", None) is not None
+                     or getattr(s, "replicas", None) is not None), None)
 
     # ------------------------------------------------------------------
     def on_cycle_end(self, core) -> None:

@@ -17,8 +17,10 @@ the mechanism's per-misprediction accounting).  The consumers:
 * :class:`AuditTrail`  — per-branch "why was this (not) reused" causal
   chains (``repro why``).
 
-Observation is opt-in (``--observe`` / ``REPRO_OBSERVE``); the default
-:class:`NullObserver`/``None`` path adds no work to the core loop.
+Observation is opt-in (``--observe`` / ``REPRO_OBSERVE``); observers
+subscribe to the core's event table after the mechanism, and an event
+no observer overrides binds to ``None``, so the default path adds no
+work to the core loop.
 Observers compose with the process-pool runtime: workers ship
 ``Observer.export()`` payloads back with their stats and
 :func:`merge_payloads` merges them deterministically in job order.
@@ -26,12 +28,11 @@ Observers compose with the process-pool runtime: workers ship
 
 from .audit import REASONS, AuditTrail, EventAudit
 from .base import (
-    MultiObserver,
-    NullObserver,
     Observer,
     make_observer,
     merge_payloads,
     observer_names,
+    render_all,
 )
 from .cpistack import COMPONENTS, CPIStack
 from .events import (
@@ -52,8 +53,6 @@ __all__ = [
     "EventKind",
     "InstRecord",
     "MECHANISM_KINDS",
-    "MultiObserver",
-    "NullObserver",
     "OBSERVER_HOOKS",
     "Observer",
     "PIPELINE_KINDS",
@@ -65,4 +64,5 @@ __all__ = [
     "merge_payloads",
     "observer_names",
     "parse_konata",
+    "render_all",
 ]

@@ -15,11 +15,14 @@ Observation is strictly read-only: an attached observer must never
 perturb simulation state, so ``SimStats`` stay byte-identical with an
 observer attached or detached (asserted in ``tests/test_runtime.py``).
 
-Zero overhead when off: the core normalises ``None`` *and*
-:class:`NullObserver` to "not observing" and the hot loops guard every
-call with a single ``is not None`` test on a hoisted local, so the
-disabled path costs one predictable branch per event site
-(``benchmarks/bench_observe.py`` gates the regression).
+Observers are subscribers of the core's event table
+(``uarch/hooks.py`` ``bind_hooks``), listed after the mechanism: a hook
+method an observer overrides is bound, one called per event, several
+fanned out in list order.  Zero overhead when off: an event no observer
+overrides binds to ``None`` and its call site costs one ``is not None``
+test on a hoisted local, so the base :class:`Observer` costs the same
+as no observer at all (``benchmarks/bench_observe.py`` gates the
+regression).
 
 Worker transport: observers cannot cross a process boundary alive, so
 each one serialises to a plain-data payload (:meth:`Observer.export`)
@@ -37,14 +40,15 @@ from .events import OBSERVER_HOOKS
 class Observer:
     """Base observer: every hook is a no-op; subclasses override a few.
 
-    The base class doubles as the protocol definition — the core and the
-    mechanism pipeline only ever call methods named in
+    The base class doubles as the protocol definition — the event table
+    binds only methods named in
     :data:`~repro.observe.events.OBSERVER_HOOKS` (one per event kind),
-    which is asserted at import time below.
+    which is asserted at import time below — and as the ``null``
+    observer: it overrides nothing, so it subscribes to no event.
     """
 
     #: registry/payload key; subclasses override
-    name = "observer"
+    name = "null"
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, core) -> None:
@@ -141,53 +145,14 @@ class Observer:
         return ""
 
 
-class NullObserver(Observer):
-    """Explicit no-op observer.
-
-    The core recognises it and strips observation from the hot loop
-    entirely, so attaching one costs the same as attaching nothing —
-    the guarantee ``benchmarks/bench_observe.py`` pins down.
-    """
-
-    name = "null"
-
-
-class MultiObserver(Observer):
-    """Fan one event stream out to several observers."""
-
-    name = "multi"
-
-    def __init__(self, children: Sequence[Observer]):
-        self.children = [c for c in children
-                         if not isinstance(c, NullObserver)]
-
-    def export(self) -> Dict[str, dict]:
-        out: Dict[str, dict] = {}
-        for c in self.children:
-            out.update(c.export())
-        return out
-
-    def render(self) -> str:
-        return "\n\n".join(r for r in (c.render() for c in self.children)
-                           if r)
-
-
-def _fan_out(method_name: str):
-    def fan(self, *args, **kwargs):
-        for c in self.children:
-            getattr(c, method_name)(*args, **kwargs)
-    fan.__name__ = method_name
-    return fan
-
-
-#: the delivery surface, derived from the canonical taxonomy so the hook
-#: protocol and the event vocabulary cannot drift apart
-HOOK_NAMES: tuple = tuple(OBSERVER_HOOKS.values()) + ("attach", "finalize")
-
-for _m in HOOK_NAMES:
+for _m in tuple(OBSERVER_HOOKS.values()) + ("attach", "finalize"):
     assert callable(getattr(Observer, _m)), \
         f"taxonomy hook {_m!r} missing from Observer"
-    setattr(MultiObserver, _m, _fan_out(_m))
+
+
+def render_all(observers: Sequence[Observer]) -> str:
+    """The non-empty reports of ``observers``, blank-line separated."""
+    return "\n\n".join(r for r in (o.render() for o in observers) if r)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +167,7 @@ def _registry() -> dict:
         "cpi": CPIStack,
         "audit": AuditTrail,
         "trace": PipeTracer,
-        "null": NullObserver,
+        "null": Observer,
     }
 
 
@@ -210,32 +175,28 @@ def observer_names() -> List[str]:
     return sorted(_registry())
 
 
-def make_observer(spec: Optional[str]) -> Optional[Observer]:
-    """Build an observer from a spec like ``"cpi"`` or ``"cpi,audit"``.
+def make_observer(spec: Optional[str]) -> List[Observer]:
+    """Build the observers a spec like ``"cpi"`` or ``"cpi,audit"`` names.
 
     ``None`` / ``""`` / ``"0"`` / ``"off"`` mean "no observation" and
-    return ``None`` so callers can pass the spec straight through from
-    ``REPRO_OBSERVE``.
+    give an empty list, so callers can pass the spec straight through
+    from ``REPRO_OBSERVE``.  The list subscribes in spec order.
     """
     if not spec or spec.strip().lower() in ("0", "off", "none"):
-        return None
+        return []
     registry = _registry()
-    children: List[Observer] = []
+    observers: List[Observer] = []
     for part in spec.split(","):
         key = part.strip().lower()
         if not key:
             continue
         try:
-            children.append(registry[key]())
+            observers.append(registry[key]())
         except KeyError:
             raise ValueError(
                 f"unknown observer {key!r}; known: {observer_names()}"
             ) from None
-    if not children:
-        return None
-    if len(children) == 1:
-        return children[0]
-    return MultiObserver(children)
+    return observers
 
 
 def merge_payloads(payloads: Sequence[Dict[str, dict]]) -> Dict[str, dict]:

@@ -20,9 +20,9 @@ The taxonomy has three families:
   ``trace.collect_trace`` (and derivable online from ``COMMIT``).
 
 Each :class:`EventKind` maps to exactly one :class:`Observer` hook
-method (:data:`OBSERVER_HOOKS`); ``observe.base`` derives its fan-out
-surface from this table, so the taxonomy and the hook protocol cannot
-drift apart.
+method (:data:`OBSERVER_HOOKS`); the core's event table
+(``uarch/hooks.py``) binds observer events from this table, keyed by
+kind, so the taxonomy and the hook protocol cannot drift apart.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class EventKind(enum.Enum):
 
 #: EventKind → the Observer hook method that delivers it.  ``RETIRE`` has
 #: no hook: retire records are a data stream (lists of RetireEvent), not
-#: a callback.  ``observe.base`` builds MultiObserver's fan-out from the
-#: values of this table.
+#: a callback.  The core's event table binds observer events from it.
 OBSERVER_HOOKS: Dict[EventKind, str] = {
     EventKind.FETCH: "on_fetch",
     EventKind.DISPATCH: "on_dispatch",

@@ -206,10 +206,11 @@ def _run_job(job: RunSpec) -> Tuple[Optional[dict], Optional[dict],
         from .. import run_program
         from ..observe import make_observer
         prog = cached_program(job.kernel, job.scale, job.seed)
-        observer = make_observer(job.observe)
-        stats = run_program(prog, job.resolved_cfg(), observer=observer,
+        observers = make_observer(job.observe)
+        stats = run_program(prog, job.resolved_cfg(), observer=observers,
                             faults=job.faults)
-        payload = None if observer is None else observer.export()
+        payload = {name: data for obs in observers
+                   for name, data in obs.export().items()} or None
         return stats.to_dict(), payload, None
     except Exception:
         return None, None, traceback.format_exc()

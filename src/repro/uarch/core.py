@@ -29,13 +29,14 @@ from ..isa.predecode import (
     F_WRITES_REG,
     predecode,
 )
-from ..observe.base import NullObserver, Observer
+from ..observe.base import Observer
+from ..observe.events import EventKind
 from .bpred import make_predictor
 from .caches import MemoryHierarchy
 from .config import ProcessorConfig
 from .frontend import FetchUnit
 from .funits import FUPool
-from .hooks import MechanismHooks, bind_hooks
+from .hooks import MechanismHooks, bind_hooks, flatten
 from .rename import FreeList, RenameTable
 from .rob import DynInst, MEM_ABSENT
 from .stats import SimStats
@@ -107,16 +108,20 @@ class Core:
     stage can provably make progress the clock advances straight to the
     next cycle at which any event is possible.  Skipping is exact — all
     per-cycle statistics bookkeeping is replayed over the span, and with
-    an observer attached the span is force-ticked cycle by cycle so CPI
-    stacks, pipeview traces and the invariant checker see every cycle.
-    ``None`` (the default) resolves from the environment
+    ``on_cycle_end`` subscribed the span is force-ticked cycle by cycle
+    so CPI stacks, pipeview traces and the invariant checker see every
+    cycle.  ``None`` (the default) resolves from the environment
     (``REPRO_SKIP=0`` disables); tests force it both ways to assert
     byte-identical results.
+
+    ``hooks`` is the mechanism, or the ordered subscriber list itself (a
+    fault injector, then the mechanism, then observers); ``observer`` is
+    an observer, or a list of them, subscribed after ``hooks``.  The
+    event table binds once, here (``uarch/hooks.py``, DESIGN.md §9.9).
     """
 
     def __init__(self, cfg: ProcessorConfig, program: Program,
-                 hooks: Optional[MechanismHooks] = None,
-                 observer: Optional[Observer] = None,
+                 hooks=None, observer=None,
                  skip_ahead: Optional[bool] = None,
                  boot: Optional[object] = None):
         self.cfg = cfg
@@ -127,7 +132,6 @@ class Core:
                            else skip_ahead)
         self.stats = SimStats()
         self.bpred = make_predictor(cfg.bpred_kind, cfg.gshare_bits)
-        self.fetch = FetchUnit(cfg, program, self.bpred)
         self.hierarchy = MemoryHierarchy(cfg)
         self.fu = FUPool(cfg)
         self.rename = RenameTable(NUM_LOGICAL_REGS, cfg.strided_pcs_per_entry)
@@ -144,30 +148,39 @@ class Core:
         self.completion: List[tuple] = []   # (done_cycle, seq, inst)
         self.cycle = 0
         self.halted = False
-        # Observation (read-only; see repro.observe).  ``None`` and
-        # NullObserver normalise to "not observing" so the hot loop pays
-        # one ``is not None`` test per event site and nothing else.
-        self.observer = observer
-        self._obs: Optional[Observer] = (
-            None if observer is None or isinstance(observer, NullObserver)
-            else observer)
-        self.fetch.set_observer(self._obs)
-        if self._obs is not None:
-            self._obs.attach(self)
-        self.hooks: MechanismHooks = hooks or MechanismHooks()
-        self.hooks.attach(self)
-        # The hook table, bound after attach so it sees what attach
-        # installs; a hook left at the no-op base is None (DESIGN §9.9).
-        bound = bind_hooks(self.hooks)
-        self._dispatch_gate = bound["dispatch_gate"]
-        self._on_dispatch = bound["on_dispatch"]
-        self._on_branch_resolved = bound["on_branch_resolved"]
-        self._on_recovery = bound["on_recovery"]
-        self._on_commit = bound["on_commit"]
-        self._on_store_commit = bound["on_store_commit"]
-        self._on_cycle = bound["on_cycle"]
-        self._next_event_cycle = bound["next_event_cycle"]
-        self._extra_latency = bound["validated_extra_latency"]
+        subscribers = self.subscribers = flatten(hooks, observer)
+        self.observers = [s for s in subscribers if isinstance(s, Observer)]
+        # Each family binds after its subscribers attach, so it sees the
+        # handlers attach installs.  Observers go first: the mechanism
+        # hoists its emitters from the table in attach (DESIGN §9.9).
+        for obs in self.observers:
+            obs.attach(self)
+        events = self.events = bind_hooks(subscribers, Observer)
+        self.fetch = FetchUnit(cfg, program, self.bpred, events)
+        for sub in subscribers:
+            if not isinstance(sub, Observer):
+                sub.attach(self)
+        events.update(bind_hooks(subscribers))
+        self._dispatch_gate = events["dispatch_gate"]
+        self._on_dispatch = events["on_dispatch"]
+        self._on_branch_resolved = events["on_branch_resolved"]
+        self._on_recovery = events["on_recovery"]
+        self._on_commit = events["on_commit"]
+        self._on_store_commit = events["on_store_commit"]
+        self._on_cycle = events["on_cycle"]
+        self._next_event_cycle = events["next_event_cycle"]
+        self._extra_latency = events["validated_extra_latency"]
+        self._emit_dispatch = events[EventKind.DISPATCH]
+        self._emit_issue = events[EventKind.ISSUE]
+        self._emit_writeback = events[EventKind.WRITEBACK]
+        self._emit_commit = events[EventKind.COMMIT]
+        self._emit_squash = events[EventKind.SQUASH]
+        self._emit_recovery = events[EventKind.RECOVERY]
+        self._emit_cycle_end = events[EventKind.CYCLE_END]
+        # The coherence check (Section 2.4.3) taxes store commit only
+        # when some subscriber holds replicas to check against.
+        self._has_replicas = any(s.has_replicas for s in subscribers
+                                 if isinstance(s, MechanismHooks))
         self._last_progress_cycle = 0
         self._ports = PortState(cfg, self.stats, self.hierarchy)
         if boot is not None:
@@ -182,16 +195,6 @@ class Core:
             self.sregs[:] = boot.regs
             self.mem.update(boot.mem_delta)
             self.fetch.pc = boot.pc
-
-    @property
-    def active_observer(self) -> Optional[Observer]:
-        """The observer receiving events, or ``None`` when not observing.
-
-        This is the formal accessor for mechanism code: ``None`` and
-        :class:`NullObserver` are already normalised away, so callers
-        guard event emission with one ``is not None`` test.
-        """
-        return self._obs
 
     # ------------------------------------------------------------------
     # Public driver.
@@ -211,7 +214,7 @@ class Core:
         ports = self._ports
         open_lines = ports.open_lines
         freelist = self.freelist
-        obs = self._obs
+        cycle_end = self._emit_cycle_end
         window = self.window
         completion = self.completion
         ready = self.ready
@@ -263,8 +266,8 @@ class Core:
                 stats.regs_in_use_peak = in_use
             if cycle % interval == 0:
                 stats.record_interval()
-            if obs is not None:
-                obs.on_cycle_end(self)
+            if cycle_end is not None:
+                cycle_end(self)
             if (not window and fetch.empty and not completion):
                 break  # fell off the end of the program
             # ----------------------------------------------------------
@@ -326,7 +329,7 @@ class Core:
                 continue
             span = span_end - cycle
             stats.skipped_cycles += span
-            if obs is None:
+            if cycle_end is None:
                 # Batch the per-cycle bookkeeping over the whole span:
                 # register-pressure samples and interval marks see state
                 # frozen exactly as every skipped cycle would have.
@@ -340,8 +343,8 @@ class Core:
                 stats.cycles = span_end
             else:
                 # Observed run: force-tick the span so per-cycle
-                # observers (CPI stack, pipeview, invariant checker) see
-                # every cycle with exact state.  No stage can act, so
+                # subscribers (CPI stack, pipeview, invariant checker)
+                # see every cycle with exact state.  No stage can act, so
                 # only the clock and the bookkeeping advance.
                 c = cycle
                 while c < span_end:
@@ -351,12 +354,12 @@ class Core:
                     stats.record_reg_usage(in_use)
                     if c % interval == 0:
                         stats.record_interval()
-                    obs.on_cycle_end(self)
+                    cycle_end(self)
         self.stats.stridedpc_assignments = self.rename.assign_count
         self.stats.stridedpc_sum = self.rename.assign_sum
         self.stats.stridedpc_overflow = self.rename.overflow_count
         self.stats.regs_slack = self.freelist.slack
-        if obs is not None:
+        for obs in self.observers:
             obs.finalize(self.stats)
         return self.stats
 
@@ -365,7 +368,7 @@ class Core:
     # ------------------------------------------------------------------
     def _commit(self, ports: PortState) -> None:
         cfg = self.cfg
-        obs = self._obs
+        emit_commit = self._emit_commit
         stats = self.stats
         window = self.window
         freelist = self.freelist
@@ -383,9 +386,7 @@ class Core:
                 break
             flags = flags_a[inst.pc]
             if flags & F_STORE:
-                # The coherence check (Section 2.4.3) taxes store commit
-                # only when replicas exist to check against.
-                has_replicas = self.hooks.has_replicas
+                has_replicas = self._has_replicas
                 max_stores = (cfg.ci_max_store_commits if has_replicas
                               else cfg.l1d_ports + 1)
                 if stores_this_cycle >= max_stores:
@@ -402,8 +403,8 @@ class Core:
             window.popleft()
             inst.committed = True
             stats.committed += 1
-            if obs is not None:
-                obs.on_commit(inst, cycle)
+            if emit_commit is not None:
+                emit_commit(inst, cycle)
             self._last_progress_cycle = cycle
             if inst.validated:
                 stats.committed_reused += 1
@@ -447,15 +448,15 @@ class Core:
         heappop = heapq.heappop
         heappush = heapq.heappush
         cycle = self.cycle
-        obs = self._obs
+        emit_writeback = self._emit_writeback
         flags_a = self.image.flags
         while comp and comp[0][0] <= cycle:
             inst = heappop(comp)[2]
             if inst.squashed or inst.done:
                 continue
             inst.done = True
-            if obs is not None:
-                obs.on_writeback(inst, cycle)
+            if emit_writeback is not None:
+                emit_writeback(inst, cycle)
             consumers = inst.consumers
             # Woken consumers are never needed again.  Each one references
             # this producer (undo record, forwarded store), so keeping the
@@ -481,7 +482,7 @@ class Core:
     def _recover(self, pivot: DynInst, redirect_pc: int, is_branch: bool) -> None:
         window = self.window
         stats = self.stats
-        obs = self._obs
+        emit_squash = self._emit_squash
         cycle = self.cycle
         flags_a = self.image.flags
         rd_a = self.image.rd
@@ -498,8 +499,8 @@ class Core:
             inst.squashed = True
             inst.consumers = None  # all younger: squashed with it
             stats.squashed += 1
-            if obs is not None:
-                obs.on_squash(inst, cycle)
+            if emit_squash is not None:
+                emit_squash(inst, cycle)
             flags = flags_a[inst.pc]
             if flags & F_STORE:
                 if inst.mem_old is MEM_ABSENT:
@@ -519,8 +520,8 @@ class Core:
         squashed.reverse()
         if self._on_recovery is not None:
             self._on_recovery(pivot, squashed, is_branch)
-        if obs is not None:
-            obs.on_recovery(pivot, len(squashed), is_branch, cycle)
+        if self._emit_recovery is not None:
+            self._emit_recovery(pivot, len(squashed), is_branch, cycle)
         self.fetch.redirect(redirect_pc, cycle)
 
     def _store_map_remove(self, inst: DynInst) -> None:
@@ -549,7 +550,7 @@ class Core:
         heappop = heapq.heappop
         heappush = heapq.heappush
         cycle = self.cycle
-        obs = self._obs
+        emit_issue = self._emit_issue
         stats = self.stats
         hierarchy = self.hierarchy
         image = self.image
@@ -605,8 +606,8 @@ class Core:
             issued += 1
             inst.done_cycle = done = cycle + lat
             heappush(completion, (done, item[0], inst))
-            if obs is not None:
-                obs.on_issue(inst, cycle, lat)
+            if emit_issue is not None:
+                emit_issue(inst, cycle, lat)
         ports.ports_left = ports_left
         for item in deferred:
             item[1].in_ready = True
@@ -628,7 +629,8 @@ class Core:
         cycle = self.cycle
         cfg = self.cfg
         window = self.window
-        obs = self._obs
+        emit_dispatch = self._emit_dispatch
+        emit_issue = self._emit_issue
         on_dispatch = self._on_dispatch
         stats = self.stats
         freelist = self.freelist
@@ -752,8 +754,8 @@ class Core:
             window.append(inst)
             if on_dispatch is not None:
                 on_dispatch(inst)
-            if obs is not None:
-                obs.on_dispatch(inst, cycle)
+            if emit_dispatch is not None:
+                emit_dispatch(inst, cycle)
             if inst.validated and not inst.issued:
                 # Replica reuse: skip execution.  The instruction may reach
                 # commit immediately (validation goes straight there,
@@ -765,16 +767,17 @@ class Core:
                 inst.commit_ready_at = cycle + 1
                 inst.done_cycle = cycle + lat
                 heappush(completion, (inst.done_cycle, inst.seq, inst))
-                if obs is not None:
-                    obs.on_issue(inst, cycle, lat)
+                if emit_issue is not None:
+                    emit_issue(inst, cycle, lat)
 
 
 def simulate(program: Program, cfg: Optional[ProcessorConfig] = None,
-             hooks: Optional[MechanismHooks] = None,
-             max_instructions: Optional[int] = None,
-             observer: Optional[Observer] = None,
-             skip_ahead: Optional[bool] = None) -> SimStats:
-    """Convenience wrapper: build a core, run it, return the statistics."""
+             hooks=None, max_instructions: Optional[int] = None,
+             observer=None, skip_ahead: Optional[bool] = None) -> SimStats:
+    """Convenience wrapper: build a core, run it, return the statistics.
+
+    ``hooks`` and ``observer`` are the subscribers, as for :class:`Core`.
+    """
     core = Core(cfg or ProcessorConfig(), program, hooks, observer=observer,
                 skip_ahead=skip_ahead)
     return core.run(max_instructions=max_instructions)

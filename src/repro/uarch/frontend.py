@@ -13,6 +13,7 @@ from ..isa.predecode import (
     CTRL_SEQ,
     predecode,
 )
+from ..observe.events import EventKind
 from .bpred import Gshare
 from .config import ProcessorConfig
 from .rob import DynInst
@@ -24,9 +25,12 @@ class FetchUnit:
     Entries carry a ``ready_at`` cycle modelling the decode/rename depth;
     dispatch consumes them once ready.  A misprediction recovery flushes
     the queue and redirects the PC (effective the following cycle).
+    ``events`` is the core's event table; the front end reads its
+    ``FETCH`` and ``SQUASH`` emitters from it (none when omitted).
     """
 
-    def __init__(self, cfg: ProcessorConfig, program: Program, bpred: Gshare):
+    def __init__(self, cfg: ProcessorConfig, program: Program, bpred: Gshare,
+                 events: Optional[dict] = None):
         self.cfg = cfg
         self.program = program
         #: shared decode-once image (fetch reads control class + target)
@@ -43,28 +47,19 @@ class FetchUnit:
         self._redirect_at: Optional[int] = None
         self._redirect_pc: int = 0
         self.next_seq = 0
-        #: pipeline observer (set via :meth:`set_observer`; ``None`` when
-        #: not observing)
-        self.observer: Optional[object] = None
-
-    def set_observer(self, observer) -> None:
-        """Install the (already normalised) pipeline observer.
-
-        The core calls this once during construction with its
-        ``active_observer`` — ``None`` means "not observing" and keeps
-        the fetch loop on the no-event fast path.
-        """
-        self.observer = observer
+        events = events or {}
+        self._emit_fetch = events.get(EventKind.FETCH)
+        self._emit_squash = events.get(EventKind.SQUASH)
 
     def redirect(self, pc: int, cycle: int) -> None:
         """Squash the queue and restart fetching at ``pc`` next cycle."""
-        obs = self.observer
-        if obs is not None:
+        emit_squash = self._emit_squash
+        if emit_squash is not None:
             # Wrong-path instructions still in the fetch queue vanish
             # here without touching core stats; the trace records them
             # as squashed at the redirect cycle.
             for _, di in self.queue:
-                obs.on_squash(di, cycle)
+                emit_squash(di, cycle)
         self.queue.clear()
         self._redirect_at = cycle + 1
         self._redirect_pc = pc
@@ -88,7 +83,7 @@ class FetchUnit:
         queue = self.queue
         queue_append = queue.append
         bpred = self.bpred
-        obs = self.observer
+        emit_fetch = self._emit_fetch
         pc = self.pc
         seq = self.next_seq
         fetched = 0
@@ -116,8 +111,8 @@ class FetchUnit:
                     next_pc = target_a[pc]
                     taken_seen += 1
             queue_append((ready_at, di))
-            if obs is not None:
-                obs.on_fetch(di, cycle)
+            if emit_fetch is not None:
+                emit_fetch(di, cycle)
             fetched += 1
             pc = next_pc
             if ctrl == CTRL_HALT:

@@ -1,4 +1,4 @@
-"""The typed mechanism hook surface between the core and a mechanism.
+"""The typed mechanism hook surface and the core's event table.
 
 :class:`MechanismHooks` is the explicit contract the timing core
 programs against: every attachment point the core will ever call, with
@@ -7,15 +7,20 @@ its exact signature, in one place.  The base class is a no-op, so a bare
 mechanism's :class:`~repro.ci.pipeline.MechanismPipeline` subclasses it
 and delegates each hook to its policy-selected components.
 
-The core resolves the per-event hooks once (:func:`bind_hooks`), right
-after ``attach``: a hook still resolving to the no-op base is bound as
-``None``, so an event no mechanism subscribes to costs the core one
-``is not None`` test (DESIGN.md §9.9).
+Everything that listens to the core is a *subscriber*: a fault
+injector, the mechanism and any number of observers, in that order.
+The core resolves every event once, at construction (:func:`bind_hooks`):
+an event no subscriber overrides is bound as ``None``, so it costs the
+core one ``is not None`` test (DESIGN.md §9.9).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence)
+
+from ..observe.base import Observer
+from ..observe.events import OBSERVER_HOOKS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Core, PortState
@@ -30,7 +35,7 @@ class MechanismHooks:
     ========================  ================================================
     hook                      called from
     ========================  ================================================
-    ``attach``                ``Core.__init__`` (after observer setup)
+    ``attach``                ``Core.__init__`` (before the hooks bind)
     ``dispatch_gate``         ``Core._dispatch`` (before any slot is used)
     ``on_dispatch``           ``Core._dispatch`` (after rename + execution)
     ``on_branch_resolved``    ``Core._writeback`` (before recovery)
@@ -114,24 +119,74 @@ HOOK_NAMES = ("dispatch_gate", "on_dispatch", "on_branch_resolved",
               "on_recovery", "on_commit", "on_store_commit", "on_cycle",
               "next_event_cycle", "validated_extra_latency")
 
+#: The two event families of the table: subscriber base class -> {table
+#: key: hook method}.  Mechanism events are keyed by hook name, observer
+#: events by :class:`~repro.observe.events.EventKind` (three hook names,
+#: ``on_dispatch``, ``on_commit`` and ``on_recovery``, exist in both).
+FAMILIES: Dict[type, Dict[Any, str]] = {
+    MechanismHooks: {name: name for name in HOOK_NAMES},
+    Observer: OBSERVER_HOOKS,
+}
 
-def bind_hooks(hooks: MechanismHooks) -> Dict[str, Optional[Callable]]:
-    """Resolve every per-event hook of an attached ``hooks`` once.
 
-    Maps each name in :data:`HOOK_NAMES` to the callable the core should
-    invoke, or to ``None`` where it is still the :class:`MechanismHooks`
-    no-op.  Call it *after* ``attach``: mechanisms install handlers
-    there as instance attributes (``MechanismPipeline``'s flattened
-    ``on_dispatch``, a tracing wrapper's timed hooks), and those count
-    as subscriptions like any subclass override.  A ``None`` entry
-    stands for the base default: ``dispatch_gate`` True,
-    ``on_store_commit`` False, ``next_event_cycle`` None,
-    ``validated_extra_latency`` 0.
+def _earliest(cycles):
+    return min((c for c in cycles if c is not None), default=None)
+
+
+#: How a fanned-out hook with a result combines its subscribers' answers
+#: (each one is called): every gate must open, any conflict squashes,
+#: extra latencies add up, and skip-ahead stops at the earliest event.
+_COMBINE = {"dispatch_gate": all, "on_store_commit": any,
+            "validated_extra_latency": sum, "next_event_cycle": _earliest}
+
+
+def _fan_out(name: str, fns: List[Callable]) -> Callable:
+    combine = _COMBINE.get(name)
+    if combine is None:
+        def fan(*args):
+            for fn in fns:
+                fn(*args)
+    else:
+        def fan(*args):
+            return combine([fn(*args) for fn in fns])
+    fan.__name__ = name
+    return fan
+
+
+def flatten(*parts) -> List[object]:
+    """One ordered subscriber list from ``parts``: each ``None``, one
+    subscriber, or a list or tuple of them."""
+    out: List[object] = []
+    for part in parts:
+        if isinstance(part, (list, tuple)):
+            out.extend(part)
+        elif part is not None:
+            out.append(part)
+    return out
+
+
+def bind_hooks(subscribers: Sequence[object],
+               base: type = MechanismHooks) -> Dict[Any, Optional[Callable]]:
+    """Bind the ``base`` family of events over ordered ``subscribers``.
+
+    Each event of :data:`FAMILIES` ``[base]`` maps to ``None`` when no
+    ``base`` instance among ``subscribers`` overrides its hook, to the
+    one override directly, or to a fan-out calling every override in
+    list order (combined as in ``_COMBINE``).  An instance attribute
+    counts as an override like a subclass method does, so the core binds
+    a family *after* its subscribers attach: ``MechanismPipeline``
+    installs its flattened ``on_dispatch`` there, a tracing wrapper its
+    timed hooks.
+    A ``None`` mechanism entry stands for the base default:
+    ``dispatch_gate`` True, ``on_store_commit`` False,
+    ``next_event_cycle`` None, ``validated_extra_latency`` 0.
     """
-    table: Dict[str, Optional[Callable]] = {}
-    for name in HOOK_NAMES:
-        fn = getattr(hooks, name)
-        if getattr(fn, "__func__", None) is getattr(MechanismHooks, name):
-            fn = None
-        table[name] = fn
+    members = [s for s in subscribers if isinstance(s, base)]
+    table: Dict[Any, Optional[Callable]] = {}
+    for key, name in FAMILIES[base].items():
+        default = getattr(base, name)
+        fns = [fn for fn in (getattr(s, name) for s in members)
+               if getattr(fn, "__func__", None) is not default]
+        table[key] = (None if not fns else fns[0] if len(fns) == 1
+                      else _fan_out(name, fns))
     return table

@@ -265,9 +265,9 @@ class TestSpecDataMemory:
     @staticmethod
     def replicas(positions):
         cfg = with_spec_mem(ci(1), positions)
-        core = Core(cfg, build_program("bzip2", 0.05, 1),
-                    hooks=hooks_for(cfg))
-        return core.hooks.replicas
+        hooks = hooks_for(cfg)
+        Core(cfg, build_program("bzip2", 0.05, 1), hooks=hooks)
+        return hooks.replicas
 
     def test_alloc_release(self):
         m = self.replicas(8)

@@ -132,7 +132,8 @@ class TestInjection:
         assert rep.injected == [] and rep.unapplied == 1
 
     def test_injector_delegates_to_inner_hooks(self):
-        # A faulted mechanism run still produces mechanism activity.
+        # The injector subscribes ahead of the mechanism instead of
+        # wrapping it: a faulted run still produces mechanism activity.
         cfg = ci(1, 512, policy="vect")
         rep = run_checked(prog(), cfg,
                           plan=FaultPlan.parse("alloc-deny@300"))
@@ -162,24 +163,21 @@ class _Corrupter(Observer):
 
 class TestInvariantChecker:
     def test_detects_seeded_corruption(self):
-        from repro.observe import MultiObserver
         from repro import hooks_for
         from repro.uarch import Core
         cfg = ci(1, 512, policy="ci")
         checker = InvariantChecker(strict=False)
         # corrupter runs before the checker within the same cycle
-        obs = MultiObserver([_Corrupter(cycle=100), checker])
+        obs = [_Corrupter(cycle=100), checker]
         core = Core(cfg, prog(), hooks_for(cfg), observer=obs)
         core.run()
         assert any("free-list leak" in v for v in checker.violations)
 
     def test_strict_mode_raises(self):
-        from repro.observe import MultiObserver
         from repro import hooks_for
         from repro.uarch import Core
         cfg = ci(1, 512, policy="ci")
-        obs = MultiObserver([_Corrupter(cycle=100),
-                             InvariantChecker(strict=True)])
+        obs = [_Corrupter(cycle=100), InvariantChecker(strict=True)]
         core = Core(cfg, prog(), hooks_for(cfg), observer=obs)
         with pytest.raises(InvariantViolation, match="free-list leak"):
             core.run()

@@ -27,7 +27,8 @@ CONFIGS = [("scal", scal(1, 256)), ("wb", wb(1, 512))] + [
 @pytest.mark.parametrize("cfg", [cfg for _, cfg in CONFIGS],
                          ids=[name for name, _ in CONFIGS])
 def test_run_creates_no_cyclic_garbage(kernel, cfg):
-    core = Core(cfg, build_program(kernel, 0.05, 1), hooks_for(cfg))
+    hooks = hooks_for(cfg)
+    core = Core(cfg, build_program(kernel, 0.05, 1), hooks)
     gc.collect()
     gc.disable()
     try:
@@ -39,7 +40,7 @@ def test_run_creates_no_cyclic_garbage(kernel, cfg):
     assert unreachable == 0, (
         f"{kernel}: the run left {unreachable} object(s) in reference "
         f"cycles")
-    replicas = getattr(core.hooks, "replicas", None)
+    replicas = getattr(hooks, "replicas", None)
     if replicas is not None:
         live = {id(e) for e in replicas.srsmt.all_entries()}
         stale = [key for key in replicas.scheduler._waiters

@@ -14,8 +14,6 @@ from repro.observe import (
     COMPONENTS,
     AuditTrail,
     CPIStack,
-    MultiObserver,
-    NullObserver,
     Observer,
     PipeTracer,
     REASONS,
@@ -23,6 +21,7 @@ from repro.observe import (
     merge_payloads,
     observer_names,
     parse_konata,
+    render_all,
 )
 from repro.uarch.config import ci, scal, wb
 from repro.uarch.core import simulate
@@ -79,21 +78,23 @@ class TestNonPerturbation:
     def test_stats_identical_with_observer(self, policy):
         cfg = POLICIES[policy]()
         bare = run_kernel("vpr", cfg, scale=SCALE)
-        nulled = run_kernel("vpr", cfg, scale=SCALE,
-                            observer=NullObserver())
+        nulled = run_kernel("vpr", cfg, scale=SCALE, observer=Observer())
         observed = run_kernel("vpr", cfg, scale=SCALE,
                               observer=make_observer("cpi,audit,trace"))
         assert bare.to_dict() == nulled.to_dict()
         assert bare.to_dict() == observed.to_dict()
 
     def test_null_observer_not_attached(self):
+        # The "null" observer is the base class: it subscribes to no
+        # event, so every observer entry of the table stays None.
+        from repro.observe import OBSERVER_HOOKS
         from repro.uarch.core import Core
         from repro.workloads import build_program
         prog = build_program("mcf", SCALE, 1)
-        core = Core(scal(1, 512), prog, observer=NullObserver())
-        assert core._obs is None
+        core = Core(scal(1, 512), prog, observer=make_observer("null"))
+        assert all(core.events[k] is None for k in OBSERVER_HOOKS)
         core = Core(scal(1, 512), prog, observer=CPIStack())
-        assert core._obs is not None
+        assert any(core.events[k] is not None for k in OBSERVER_HOOKS)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +215,13 @@ class TestAuditTrail:
 # ---------------------------------------------------------------------------
 class TestPlumbing:
     def test_make_observer_specs(self):
-        assert make_observer(None) is None
-        assert make_observer("") is None
-        assert make_observer("off") is None
-        assert make_observer("0") is None
-        assert isinstance(make_observer("cpi"), CPIStack)
-        multi = make_observer("cpi,audit")
-        assert isinstance(multi, MultiObserver)
-        assert [type(c) for c in multi.children] == [CPIStack, AuditTrail]
+        assert make_observer(None) == []
+        assert make_observer("") == []
+        assert make_observer("off") == []
+        assert make_observer("0") == []
+        assert [type(o) for o in make_observer("cpi")] == [CPIStack]
+        assert [type(o) for o in make_observer("cpi,audit")] \
+            == [CPIStack, AuditTrail]
         with pytest.raises(ValueError, match="unknown observer"):
             make_observer("bogus")
 
@@ -230,12 +230,16 @@ class TestPlumbing:
 
     def test_multi_observer_matches_singles(self):
         cfg = ci(1, 512)
-        multi = MultiObserver([CPIStack(), AuditTrail()])
-        run_kernel("gzip", cfg, scale=SCALE, observer=multi)
+        cpi, audit = CPIStack(), AuditTrail()
+        run_kernel("gzip", cfg, scale=SCALE, observer=[cpi, audit])
         solo = CPIStack()
         run_kernel("gzip", cfg, scale=SCALE, observer=solo)
-        assert multi.children[0].as_dict() == solo.as_dict()
-        assert set(multi.export()) == {"cpi", "audit"}
+        assert cpi.as_dict() == solo.as_dict()
+        solo_audit = AuditTrail()
+        run_kernel("gzip", cfg, scale=SCALE, observer=solo_audit)
+        assert audit.export_data() == solo_audit.export_data()
+        assert render_all([cpi, audit]) == \
+            cpi.render() + "\n\n" + audit.render()
 
     def test_base_observer_is_inert(self):
         # The protocol base class must accept every event silently.

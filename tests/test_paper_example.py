@@ -52,9 +52,9 @@ def machine():
     """
     prog = assemble(src, name="figure1")
     cfg = ci(1, 512)
-    core = Core(cfg, prog, hooks_for(cfg))
+    engine = hooks_for(cfg)
+    core = Core(cfg, prog, engine)
     core.run()
-    engine = core.hooks
     return prog, core, engine
 
 
@@ -71,7 +71,7 @@ class TestFigure1:
 
     def test_hammock_branch_is_hard(self, machine):
         prog, _, engine = machine
-        assert engine.mbs.is_hard(pc_of(prog, "beqz"))
+        assert engine.filter.mbs.is_hard(pc_of(prog, "beqz"))
 
     def test_loop_branch_treated_as_easy(self, machine):
         # The loop-closing branch saturates the MBS while the loop runs
@@ -84,25 +84,25 @@ class TestFigure1:
 
     def test_i5_selected_and_strided(self, machine):
         prog, _, engine = machine
-        se = engine.stride.lookup(pc_of(prog, "ld"))
+        se = engine.selector.stride.lookup(pc_of(prog, "ld"))
         assert se is not None and se.stride == 8
         assert se.selected  # the S flag (step 2 marked it)
 
     def test_i5_and_i11_vectorized(self, machine):
         prog, _, engine = machine
-        assert engine.srsmt.lookup(pc_of(prog, "ld")) is not None
-        assert engine.srsmt.lookup(prog.labels["ip"]) is not None
+        assert engine.replicas.srsmt.lookup(pc_of(prog, "ld")) is not None
+        assert engine.replicas.srsmt.lookup(prog.labels["ip"]) is not None
 
     def test_i12_i13_not_vectorized(self, machine):
         """Control independent but not strided-load dependent: skipped."""
         prog, _, engine = machine
-        assert engine.srsmt.lookup(pc_of(prog, "addi r1")) is None
-        assert engine.srsmt.lookup(pc_of(prog, "slti")) is None
+        assert engine.replicas.srsmt.lookup(pc_of(prog, "addi r1")) is None
+        assert engine.replicas.srsmt.lookup(pc_of(prog, "slti")) is None
 
     def test_hammock_arms_not_vectorized(self, machine):
         prog, _, engine = machine
-        assert engine.srsmt.lookup(pc_of(prog, "addi r2")) is None
-        assert engine.srsmt.lookup(pc_of(prog, "addi r3")) is None
+        assert engine.replicas.srsmt.lookup(pc_of(prog, "addi r2")) is None
+        assert engine.replicas.srsmt.lookup(pc_of(prog, "addi r3")) is None
 
     def test_reuse_happened(self, machine):
         _, core, _ = machine
