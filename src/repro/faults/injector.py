@@ -54,9 +54,13 @@ class FaultInjector(MechanismHooks):
         self._emit_fault_injected = core.events[EventKind.FAULT_INJECTED]
         # Mechanism-internal faults (alloc denial, validation failure) are
         # pulled by the pipeline through this port at its decision sites;
-        # the state poisons reach into its components.
-        self.mechanism = next((s for s in core.subscribers
-                               if hasattr(s, "faults")), None)
+        # the state poisons reach into its components.  Only a mechanism
+        # has the port: an observer's ``faults`` (the audit trail's log)
+        # is not one, and scal/wb runs have no mechanism at all.
+        self.mechanism = next(
+            (s for s in core.subscribers if s is not self
+             and isinstance(s, MechanismHooks) and hasattr(s, "faults")),
+            None)
         if self.mechanism is not None:
             self.mechanism.faults = self
         #: per-kind FIFO of armed specs for this program, cycle-ordered

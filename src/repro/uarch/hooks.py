@@ -129,26 +129,24 @@ FAMILIES: Dict[type, Dict[Any, str]] = {
 }
 
 
-def _earliest(cycles):
-    return min((c for c in cycles if c is not None), default=None)
-
-
-#: How a fanned-out hook with a result combines its subscribers' answers
-#: (each one is called): every gate must open, any conflict squashes,
-#: extra latencies add up, and skip-ahead stops at the earliest event.
-_COMBINE = {"dispatch_gate": all, "on_store_commit": any,
-            "validated_extra_latency": sum, "next_event_cycle": _earliest}
+#: Hooks whose answer the core uses; only ``next_event_cycle`` may have
+#: several subscribers (skip-ahead stops at the earliest event), the
+#: others belong to the one mechanism.
+_ANSWERED = ("dispatch_gate", "on_store_commit", "validated_extra_latency")
 
 
 def _fan_out(name: str, fns: List[Callable]) -> Callable:
-    combine = _COMBINE.get(name)
-    if combine is None:
+    if name in _ANSWERED:
+        raise TypeError(f"{name} has {len(fns)} subscribers; at most one "
+                        f"may override it")
+    if name == "next_event_cycle":
+        def fan():
+            return min((c for c in (fn() for fn in fns) if c is not None),
+                       default=None)
+    else:
         def fan(*args):
             for fn in fns:
                 fn(*args)
-    else:
-        def fan(*args):
-            return combine([fn(*args) for fn in fns])
     fan.__name__ = name
     return fan
 
@@ -172,11 +170,12 @@ def bind_hooks(subscribers: Sequence[object],
     Each event of :data:`FAMILIES` ``[base]`` maps to ``None`` when no
     ``base`` instance among ``subscribers`` overrides its hook, to the
     one override directly, or to a fan-out calling every override in
-    list order (combined as in ``_COMBINE``).  An instance attribute
-    counts as an override like a subclass method does, so the core binds
-    a family *after* its subscribers attach: ``MechanismPipeline``
-    installs its flattened ``on_dispatch`` there, a tracing wrapper its
-    timed hooks.
+    list order (``next_event_cycle`` keeps the earliest non-``None``
+    answer; the other hooks with an answer allow one override only).
+    An instance attribute counts as an override like a subclass method
+    does, so the core binds a family *after* its subscribers attach:
+    ``MechanismPipeline`` installs its flattened ``on_dispatch`` there, a
+    tracing wrapper its timed hooks.
     A ``None`` mechanism entry stands for the base default:
     ``dispatch_gate`` True, ``on_store_commit`` False,
     ``next_event_cycle`` None, ``validated_extra_latency`` 0.

@@ -5,6 +5,8 @@ failure path, so the final architectural state still matches the
 functional interpreter and no state-machine invariant ever breaks.
 """
 
+import re
+
 import pytest
 
 from repro import build_program, run_kernel, run_program
@@ -20,9 +22,9 @@ from repro.faults import (
     plan_for_run,
     run_checked,
 )
-from repro.observe import Observer
+from repro.observe import AuditTrail, Observer
 from repro.uarch import ProcessorConfig
-from repro.uarch.config import ci
+from repro.uarch.config import ci, scal, wb
 from repro.workloads import kernel_names
 
 SCALE = 0.05
@@ -245,7 +247,6 @@ class TestRunProgramWiring:
         assert st.committed > 0
 
     def test_audit_trail_records_injections(self):
-        from repro.observe import AuditTrail
         trail = AuditTrail()
         run_program(prog(), ci(1, 512), faults="valfail@250,squash@300",
                     observer=trail)
@@ -254,6 +255,36 @@ class TestRunProgramWiring:
         # ... and the payload round-trips through worker transport.
         merged = AuditTrail.merge_data([trail.export_data()])
         assert len(merged["faults"]) == 2
+
+    @pytest.mark.parametrize("cfg", [scal(1, 512), wb(1, 512)],
+                             ids=["scal", "wb"])
+    def test_audit_trail_records_injections_without_a_mechanism(self, cfg):
+        # With no mechanism the audit trail is the only other subscriber
+        # with a ``faults`` attribute; it is a log, not the fault port.
+        trail = AuditTrail()
+        run_program(prog(), cfg, faults="squash@300", observer=trail,
+                    check=True)
+        assert [f["kind"] for f in trail.faults] == ["squash"]
+        assert "injected faults" in trail.render()
+        assert len(trail.export_data()["faults"]) == 1
+
+    def test_forced_squash_is_reported_as_a_misprediction(self):
+        # The injector runs ahead of the mechanism, so the MBS verdict of
+        # the forced branch already sees the flipped prediction.
+        verdicts = []
+
+        class Verdicts(AuditTrail):
+            def on_mbs_verdict(self, pc, hard, mispredicted, cycle):
+                verdicts.append((pc, cycle, mispredicted))
+                super().on_mbs_verdict(pc, hard, mispredicted, cycle)
+
+        trail = Verdicts()
+        run_program(prog(), ci(1, 512), faults="squash@300", observer=trail)
+        (fault,) = trail.faults
+        pc = int(re.search(r"pc=(\d+)", fault["detail"]).group(1))
+        assert (pc, fault["cycle"], True) in verdicts
+        assert (pc, fault["cycle"], False) not in verdicts
+        assert trail.branches[pc][2] >= 1
 
 
 class TestAcceptanceSweep:

@@ -141,40 +141,36 @@ def test_fault_injector_subscribes_only_the_events_it_acts_on():
     assert stats.squashed > plain.squashed
 
 
-def test_fan_out_calls_in_list_order_and_combines_results():
+def test_fan_out_calls_in_list_order_and_keeps_earliest_next_event():
     calls = []
 
-    class Voter(MechanismHooks):
-        def __init__(self, tag, gate, conflict, latency, nxt):
-            self.tag, self.gate, self.conflict = tag, gate, conflict
-            self.latency, self.nxt = latency, nxt
+    class Sub(MechanismHooks):
+        def __init__(self, tag, nxt):
+            self.tag, self.nxt = tag, nxt
 
-        def dispatch_gate(self):
+        def on_commit(self, inst):
             calls.append(self.tag)
-            return self.gate
-
-        def on_store_commit(self, inst):
-            calls.append(self.tag)
-            return self.conflict
-
-        def validated_extra_latency(self, inst):
-            return self.latency
 
         def next_event_cycle(self):
             return self.nxt
 
-    a = Voter("a", gate=True, conflict=True, latency=1, nxt=None)
-    b = Voter("b", gate=False, conflict=False, latency=2, nxt=9)
-    c = Voter("c", gate=True, conflict=False, latency=0, nxt=4)
+    a, b, c = Sub("a", None), Sub("b", 9), Sub("c", 4)
     table = bind_hooks([a, b, c])
-    # Every subscriber runs (a gate may have side effects) in order.
-    assert table["dispatch_gate"]() is False and calls == ["a", "b", "c"]
-    assert table["on_store_commit"](None) is True
-    assert calls == ["a", "b", "c"] * 2
-    assert table["validated_extra_latency"](None) == 3
+    table["on_commit"](None)
+    assert calls == ["a", "b", "c"]
     assert table["next_event_cycle"]() == 4
     assert bind_hooks([a, a])["next_event_cycle"]() is None
-    assert table["on_commit"] is None
+    assert table["dispatch_gate"] is None
+
+
+def test_hook_with_an_answer_takes_one_subscriber_only():
+    class Gate(MechanismHooks):
+        def dispatch_gate(self):
+            return True
+
+    assert bind_hooks([Gate()])["dispatch_gate"]() is True
+    with pytest.raises(TypeError, match="dispatch_gate"):
+        bind_hooks([Gate(), Gate()])
 
 
 class Recorder(Observer):
