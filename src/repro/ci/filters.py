@@ -32,7 +32,8 @@ class HardBranchFilter:
     kind = "base"
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
-        self.pipeline = pipeline
+        """Build the filter's tables from ``pipeline.cfg``; a filter keeps
+        no reference to the pipeline that owns it."""
 
     def train(self, pc: int, taken: bool) -> None:
         """One retired conditional branch (``pc`` went ``taken``)."""

@@ -54,7 +54,7 @@ class MechanismPipeline(MechanismHooks):
     # ------------------------------------------------------------------
     def attach(self, core: "Core") -> None:
         from .registry import build_components, get_policy
-        self.core = core
+        super().attach(core)
         self._emit_mbs_verdict = core.events[EventKind.MBS_VERDICT]
         cfg = core.cfg
         self.cfg = cfg

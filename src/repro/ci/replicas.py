@@ -25,6 +25,7 @@ never commits wrong values — mismatches count as validation failures.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..isa.predecode import F_LOAD, F_WRITES_REG
@@ -47,11 +48,18 @@ class ReplicaManager:
         self.greedy = greedy
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
-        self.pipeline = pipeline
-        core = pipeline.core
+        # Back-references are non-owning (DESIGN.md §9.6): the pipeline
+        # owns this manager and the core owns the pipeline.  The core
+        # state read per event is hoisted here, off the weak handle.
+        self.pipeline = weakref.proxy(pipeline)
+        core = self.core = pipeline.core
         cfg = pipeline.cfg
-        self.core = core
         self.cfg = cfg
+        self.rename = core.rename
+        self.freelist = core.freelist
+        self.sregs = core.sregs
+        self.window = core.window
+        self.spec_mem = pipeline.spec_mem
         events = core.events
         self._emit_alloc_fail = events[EventKind.SRSMT_ALLOC_FAIL]
         self._emit_replicas_created = events[EventKind.REPLICAS_CREATED]
@@ -59,18 +67,23 @@ class ReplicaManager:
         self._emit_coherence_conflict = events[EventKind.COHERENCE_CONFLICT]
         self.stats = pipeline.stats
         self.stride = pipeline.selector.stride
-        self.srsmt = SRSMT(cfg.srsmt_sets, cfg.srsmt_ways,
-                           release=self._release_entry)
+        mem_get = core.mem.get
         self.scheduler = ReplicaScheduler(
             load_latency=core.hierarchy.load_latency,
-            mem_read=lambda addr: core.mem.get(addr, 0))
+            mem_read=lambda addr: mem_get(addr, 0))
         #: the speculative data memory's positions (Section 2.4.6), a
         #: second capacity pool with its own slack proof (DESIGN §9.7);
         #: ``None`` when replicas draw from the register file
         self._positions = None
-        if pipeline.spec_mem is not None:
+        if self.spec_mem is not None:
             self._positions = FreeList(cfg.spec_mem_size)
             self.stats.spec_mem_slack = cfg.spec_mem_size
+        #: where replica destinations come from and go back to
+        self._pool = (self._positions if self._positions is not None
+                      else self.freelist)
+        self.srsmt = SRSMT(cfg.srsmt_sets, cfg.srsmt_ways,
+                           release=_releaser(self._pool,
+                                             self.scheduler.drop_waiters))
         self._vect_wait = False
         #: scalar registers charged per replica (2 for the vect comparator)
         self._vect_factor = 2 if self.greedy else 1
@@ -109,7 +122,7 @@ class ReplicaManager:
                 self.stats.spec_mem_alloc_failures += 1
             self.stats.spec_mem_slack = positions.slack
             return got
-        fl = self.core.freelist
+        fl = self.freelist
         if self.greedy:
             # The full dynamic-vectorization comparator [12] is greedy: its
             # vector instructions live in the pipeline, carry full vector
@@ -134,19 +147,8 @@ class ReplicaManager:
         return base * 4 if self.greedy else base
 
     def _release_regs(self, n: int) -> None:
-        if n <= 0:
-            return
-        positions = self._positions
-        if positions is not None:
-            positions.release(n)
-        else:
-            self.core.freelist.release(n)
-
-    def _release_entry(self, entry: SRSMTEntry) -> None:
-        """SRSMT deallocation: return the entry's registers and drop the
-        replicas parked on its outputs (they can never execute)."""
-        self._release_regs(entry.regs_held)
-        self.scheduler.drop_waiters(entry)
+        if n > 0:
+            self._pool.release(n)
 
     def _chronically_failing(self, pc: int) -> bool:
         """Gate for PCs whose validations (almost) never succeed.
@@ -168,7 +170,7 @@ class ReplicaManager:
         state lives in the instruction's undo record."""
         if inst.instr.rd == r and inst.rename_undo is not None:
             return inst.rename_undo[2]
-        return self.core.rename.vect_pc[r]
+        return self.rename.vect_pc[r]
 
     # ------------------------------------------------------------------
     # Dispatch: stride propagation, validation, replication.
@@ -183,7 +185,7 @@ class ReplicaManager:
 
     def _dispatch_load(self, inst: "DynInst") -> None:
         instr = inst.instr
-        rename = self.core.rename
+        rename = self.rename
         se = self.stride.confident(inst.pc)
         if se is not None:
             rename.strided_pcs[instr.rd] = (inst.pc,)
@@ -233,8 +235,7 @@ class ReplicaManager:
                                       self.core.cycle)
             return None
         entry = SRSMTEntry(inst.pc, inst.instr, nregs,
-                           storage="specmem" if self.pipeline.spec_mem
-                           else "rf")
+                           storage="specmem" if self.spec_mem else "rf")
         entry.regs_held = nregs * self._vect_factor
         entry.event = event
         return entry
@@ -275,7 +276,7 @@ class ReplicaManager:
     # -- ALU dependents: vectorize when a source is vectorized ------------
     def _dispatch_alu(self, inst: "DynInst") -> None:
         instr = inst.instr
-        rename = self.core.rename
+        rename = self.rename
         entry = self.srsmt.lookup(inst.pc)
         if entry is not None:
             if self._validate(inst, entry):
@@ -296,7 +297,7 @@ class ReplicaManager:
         if self._chronically_failing(inst.pc):
             return  # this PC (almost) never validates: stop churning
         operands: List[Operand] = []
-        sregs = self.core.sregs
+        sregs = self.sregs
         for r in instr.srcs:
             vpc = self._vect_pc_of(inst, r)
             if vpc == inst.pc:
@@ -433,7 +434,7 @@ class ReplicaManager:
         fetch, deallocating the whole batch.  A recovery-time repair scan
         of the window fixes the cursors (DESIGN.md §5)."""
         survivors: Dict[int, int] = {}
-        for inst in self.core.window:
+        for inst in self.window:
             if inst.validated and inst.validated_entry is not None \
                     and not inst.committed:
                 entry, generation = inst.validated_entry
@@ -493,11 +494,11 @@ class ReplicaManager:
         # enough registers free up; under real shortage that means waiting
         # for the machine to drain — the thrashing behaviour that makes the
         # full vectorization scheme collapse on small register files.
-        if self.core.freelist.free_at_least(
+        if self.freelist.free_at_least(
                 self.cfg.replicas * self._vect_factor + 16):
             self._vect_wait = False
             return True
-        if not self.core.window:
+        if not self.window:
             # Fully drained: reclaim dead vector register sets and resume.
             for e in self.srsmt.all_entries():
                 if e.decode == e.commit and e.issue == 0:
@@ -509,7 +510,7 @@ class ReplicaManager:
     def on_cycle(self, leftover_issue_slots: int, ports: "PortState") -> None:
         now = self.core.cycle
         self.scheduler.drain_completions(now)
-        spec_mem = self.pipeline.spec_mem
+        spec_mem = self.spec_mem
         max_writes = (spec_mem.write_ports if spec_mem else None)
         self.scheduler.issue(now, leftover_issue_slots, ports, self.stats,
                              max_mem_writes=max_writes)
@@ -527,3 +528,18 @@ class ReplicaManager:
             # the next drain is the next possible wake-up.
             return sched.completions[0][0]
         return None
+
+
+def _releaser(pool: FreeList, drop_waiters):
+    """The SRSMT's deallocation callback: return the entry's registers
+    (or positions) to ``pool`` and drop the replicas parked on its
+    outputs, which can never execute.  A closure over the pool and the
+    scheduler rather than a manager method, so the SRSMT does not own
+    the manager that owns it."""
+    release = pool.release
+
+    def release_entry(entry: SRSMTEntry) -> None:
+        if entry.regs_held > 0:
+            release(entry.regs_held)
+        drop_waiters(entry)
+    return release_entry

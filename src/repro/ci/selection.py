@@ -15,6 +15,7 @@ replicating:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from ..observe.events import EventKind
@@ -34,7 +35,11 @@ class SliceSelector:
     greedy = False
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
-        self.pipeline = pipeline
+        # Non-owning back-references (DESIGN.md §9.6); ``pipeline.core``
+        # is already one.
+        self.pipeline = weakref.proxy(pipeline)
+        self.core = pipeline.core
+        self.rename = pipeline.core.rename
         cfg = pipeline.cfg
         self.cfg = cfg
         events = pipeline.core.events
@@ -62,17 +67,17 @@ class SliceSelector:
             ev.counted_selected = True
             self.stats.ci_selected += 1
             if self._emit_ci_selected is not None:
-                self._emit_ci_selected(ev, inst.pc, self.pipeline.core.cycle)
+                self._emit_ci_selected(ev, inst.pc, self.core.cycle)
         # Select every strided load in the backward slice (rename table's
         # stridedPC extension) for vectorization next time it is fetched.
-        rename = self.pipeline.core.rename
+        rename = self.rename
         emit_slice_marked = self._emit_slice_marked
         for r in instr.srcs:
             for lpc in rename.strided_pcs[r]:
                 ok = self.stride.mark_selected(
                     lpc, ev, conflict_blacklist=self.cfg.ci_conflict_blacklist)
                 if emit_slice_marked is not None:
-                    emit_slice_marked(ev, lpc, ok, self.pipeline.core.cycle)
+                    emit_slice_marked(ev, lpc, ok, self.core.cycle)
 
     def on_load_retire(self, pc: int, eff_addr: int) -> None:
         """Train the stride predictor on a committed load."""

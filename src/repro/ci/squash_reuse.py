@@ -11,6 +11,7 @@ check.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -98,7 +99,10 @@ class SquashReuseUnit:
     kind = "squash-reuse"
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
-        self.pipeline = pipeline
+        # Non-owning back-references (DESIGN.md §9.6); ``pipeline.core``
+        # is already one.
+        self.pipeline = weakref.proxy(pipeline)
+        self.core = pipeline.core
         events = pipeline.core.events
         self._emit_ci_selected = events[EventKind.CI_SELECTED]
         self._emit_validation = events[EventKind.VALIDATION]
@@ -116,7 +120,7 @@ class SquashReuseUnit:
             self.stats.ci_selected += 1
             if self._emit_ci_selected is not None:
                 self._emit_ci_selected(event, pivot.pc,
-                                       self.pipeline.core.cycle)
+                                       self.core.cycle)
 
     def on_dispatch(self, inst: "DynInst") -> None:
         """Validate a correct-path re-fetch against a harvested result."""
@@ -131,4 +135,4 @@ class SquashReuseUnit:
         self.pipeline.credit_reuse(rec.event)
         if self._emit_validation is not None:
             self._emit_validation(inst.pc, rec.event, True, "squash-reuse",
-                                  self.pipeline.core.cycle)
+                                  self.core.cycle)

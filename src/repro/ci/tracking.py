@@ -18,6 +18,7 @@ Two variants:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..isa import Instruction, Program
@@ -36,7 +37,10 @@ class ReconvergenceTracker:
     kind = "static"
 
     def attach(self, pipeline: "MechanismPipeline") -> None:
-        self.pipeline = pipeline
+        # Non-owning back-references (DESIGN.md §9.6); ``pipeline.core``
+        # is already one.
+        self.pipeline = weakref.proxy(pipeline)
+        self.core = pipeline.core
         cfg = pipeline.cfg
         self.cfg = cfg
         events = pipeline.core.events
@@ -71,7 +75,7 @@ class ReconvergenceTracker:
         if self._flags[pc] & F_COND_BRANCH:
             est = self._reconv_cache.get(pc)
             if est is None:
-                est = self._estimate(self.pipeline.core.program, inst.instr)
+                est = self._estimate(self.core.program, inst.instr)
                 self._reconv_cache[pc] = est
             self.nrbq.on_branch_fetch(pc, est, inst.seq)
         crp = self.crp
@@ -89,14 +93,14 @@ class ReconvergenceTracker:
                 self.crp.disarm()
                 if self._emit_crp_disarm is not None:
                     self._emit_crp_disarm("window-exhausted",
-                                          self.pipeline.core.cycle)
+                                          self.core.cycle)
         else:
             self._decodes_since_armed += 1
             if self._decodes_since_armed > 4 * self.cfg.ci_select_window:
                 self.crp.disarm()  # estimate was never reached: give up
                 if self._emit_crp_disarm is not None:
                     self._emit_crp_disarm("never-reached",
-                                          self.pipeline.core.cycle)
+                                          self.core.cycle)
 
     # -- recovery: arm on a hard misprediction ---------------------------
     def on_misprediction(self, pivot: "DynInst",
@@ -110,14 +114,14 @@ class ReconvergenceTracker:
         if nrbq_entry is None:
             if self._emit_ci_untracked is not None:
                 self._emit_ci_untracked(pivot.pc, pivot.seq,
-                                        self.pipeline.core.cycle)
+                                        self.core.cycle)
             return  # branch was not tracked (NRBQ full)
         self.stats.ci_events += 1
         event = ReuseEvent(branch_pc=pivot.pc, seq=pivot.seq)
         self.event = event
         if self._emit_ci_event is not None:
             self._emit_ci_event(event, pivot.pc, pivot.seq,
-                                self.pipeline.core.cycle)
+                                self.core.cycle)
         mask0 = self._wrong_path_mask(nrbq_entry.reconv_pc, squashed)
         squash_reuse = self.pipeline.squash_reuse
         if squash_reuse is not None:

@@ -21,6 +21,7 @@ that contract after every run.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..observe.events import EventKind
@@ -50,19 +51,23 @@ class FaultInjector(MechanismHooks):
 
     # ------------------------------------------------------------------
     def attach(self, core: "Core") -> None:
-        self.core = core
+        super().attach(core)
         self._emit_fault_injected = core.events[EventKind.FAULT_INJECTED]
         # Mechanism-internal faults (alloc denial, validation failure) are
         # pulled by the pipeline through this port at its decision sites;
         # the state poisons reach into its components.  Only a mechanism
         # has the port: an observer's ``faults`` (the audit trail's log)
-        # is not one, and scal/wb runs have no mechanism at all.
-        self.mechanism = next(
+        # is not one, and scal/wb runs have no mechanism at all.  The
+        # core owns both subscribers, so neither edge between them owns
+        # the other (DESIGN.md §9.6).
+        mechanism = next(
             (s for s in core.subscribers if s is not self
              and isinstance(s, MechanismHooks) and hasattr(s, "faults")),
             None)
-        if self.mechanism is not None:
-            self.mechanism.faults = self
+        self.mechanism = None
+        if mechanism is not None:
+            self.mechanism = weakref.proxy(mechanism)
+            mechanism.faults = weakref.proxy(self)
         #: per-kind FIFO of armed specs for this program, cycle-ordered
         self._queues: Dict[str, List[FaultSpec]] = {}
         for spec in self.plan.for_program(core.program.name):

@@ -32,6 +32,7 @@ order (:func:`merge_payloads`).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence
 
 from .events import OBSERVER_HOOKS
@@ -52,8 +53,13 @@ class Observer:
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, core) -> None:
-        """Called once before simulation starts; keep a core reference."""
-        self.core = core
+        """Called once before simulation starts; keep a core reference.
+
+        The reference is non-owning (a ``weakref.proxy``): the core owns
+        its subscribers, and an observer owning the core back would keep
+        the finished run alive until the cyclic collector ran (DESIGN.md
+        §9.6).  It is valid while the run's owner holds the core."""
+        self.core = weakref.proxy(core)
 
     def finalize(self, stats) -> None:
         """Called once when the simulation ends (closes open accounting)."""

@@ -196,6 +196,15 @@ class Core:
             self.mem.update(boot.mem_delta)
             self.fetch.pc = boot.pc
 
+    def __del__(self) -> None:
+        # A core dropped mid-run (a sampling interval stops at its
+        # instruction budget, a fault crashes the run) still holds
+        # producers whose consumers reference them back; drop those
+        # lists as it dies so reference counting frees the window too
+        # (DESIGN.md §9.6).  A run that halts leaves none.
+        for inst in getattr(self, "window", ()):
+            inst.consumers = None
+
     # ------------------------------------------------------------------
     # Public driver.
     # ------------------------------------------------------------------

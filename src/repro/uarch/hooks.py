@@ -16,6 +16,7 @@ core one ``is not None`` test (DESIGN.md §9.9).
 
 from __future__ import annotations
 
+import weakref
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence)
 
@@ -47,7 +48,8 @@ class MechanismHooks:
     ========================  ================================================
     """
 
-    #: Core reference, set by :meth:`attach`.
+    #: Non-owning core reference (a ``weakref.proxy``), set by
+    #: :meth:`attach`.
     core: "Core"
 
     #: Whether the mechanism holds replicated (pre-executed) state that
@@ -57,8 +59,13 @@ class MechanismHooks:
     has_replicas: bool = False
 
     def attach(self, core: "Core") -> None:
-        """Called once from ``Core.__init__``; keep the core reference."""
-        self.core = core
+        """Called once from ``Core.__init__``; keep a core reference.
+
+        The reference is non-owning: the core owns its subscribers, so a
+        subscriber holding it back would put the whole core in a
+        reference cycle (DESIGN.md §9.6).  It is valid while the run's
+        owner holds the core; past that it raises ``ReferenceError``."""
+        self.core = weakref.proxy(core)
 
     def on_dispatch(self, inst: "DynInst") -> None:
         """Called after functional execution + renaming of ``inst``.

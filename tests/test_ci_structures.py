@@ -262,11 +262,12 @@ class TestSpecDataMemory:
     """Latency/ports live in ``SpecDataMemory``; its positions are the
     replica manager's second ``FreeList``."""
 
-    @staticmethod
-    def replicas(positions):
+    def replicas(self, positions):
+        # The test keeps the core (which owns the mechanism): components
+        # hold their pipeline and core only weakly.
         cfg = with_spec_mem(ci(1), positions)
         hooks = hooks_for(cfg)
-        Core(cfg, build_program("bzip2", 0.05, 1), hooks=hooks)
+        self.core = Core(cfg, build_program("bzip2", 0.05, 1), hooks=hooks)
         return hooks.replicas
 
     def test_alloc_release(self):
