@@ -21,7 +21,7 @@ from .observe import Observer
 from .uarch import Core, MechanismHooks, ProcessorConfig, SimStats, simulate
 from .uarch import config as configs
 from .uarch.hooks import flatten
-from .workloads import build_program, build_suite, kernel_names
+from .workloads import build_program, kernel_names
 
 __version__ = "1.0.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "SimStats",
     "assemble",
     "build_program",
-    "build_suite",
     "configs",
     "hooks_for",
     "isa",

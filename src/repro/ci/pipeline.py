@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..observe.events import EventKind, ReuseEvent
 from ..uarch.hooks import MechanismHooks
+from .rename_fields import RenameFields
 from .specmem import SpecDataMemory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,6 +82,9 @@ class MechanismPipeline(MechanismHooks):
         self.replicas: Optional["ReplicaManager"] = components["replicas"]
         self.squash_reuse: Optional["SquashReuseUnit"] = \
             components["squash_reuse"]
+        #: kept with the slice selector that reads it (DESIGN §7.1)
+        self.rename_fields = None if self.selector is None else \
+            RenameFields(cfg.strided_pcs_per_entry, core.stats)
         self.filter.attach(self)
         if self.tracker is not None:
             self.tracker.attach(self)
@@ -95,23 +99,18 @@ class MechanismPipeline(MechanismHooks):
         self.has_replicas = self.replicas is not None
         # Flatten the dispatch delegation: it runs for every dynamic
         # instruction (wrong paths included), so bind the installed
-        # components' handlers once instead of None-testing per call.
-        # The instance attribute shadows the class method below.
-        handlers = [c.on_dispatch for c in
-                    (self.tracker,
-                     self.squash_reuse if self.squash_reuse is not None
-                     else self.replicas)
-                    if c is not None]
-        if len(handlers) == 2:
-            h0, h1 = handlers
-
-            def _on_dispatch(inst, _h0=h0, _h1=h1):
-                _h0(inst)
-                _h1(inst)
+        # components' handlers once, the rename fields first (§7.1).
+        handlers = tuple(c.on_dispatch for c in
+                         (self.rename_fields, self.tracker,
+                          self.squash_reuse if self.squash_reuse is not None
+                          else self.replicas)
+                         if c is not None)
+        if handlers:
+            def _on_dispatch(inst, _handlers=handlers):
+                for handler in _handlers:
+                    handler(inst)
 
             self.on_dispatch = _on_dispatch
-        elif len(handlers) == 1:
-            self.on_dispatch = handlers[0]
 
     # ------------------------------------------------------------------
     # Shared event accounting (Figure 5 attribution).
@@ -124,17 +123,9 @@ class MechanismPipeline(MechanismHooks):
             self.stats.ci_reused += 1
 
     # ------------------------------------------------------------------
-    # Hook surface: delegate to the installed components.
+    # Hook surface: delegate to the installed components (``attach``
+    # installs ``on_dispatch``).
     # ------------------------------------------------------------------
-    def on_dispatch(self, inst: "DynInst") -> None:
-        if self.tracker is not None:
-            self.tracker.on_dispatch(inst)
-        if self.squash_reuse is not None:
-            self.squash_reuse.on_dispatch(inst)
-            return
-        if self.replicas is not None:
-            self.replicas.on_dispatch(inst)
-
     def on_branch_resolved(self, inst: "DynInst") -> None:
         inst.hard_branch = self.filter.is_hard(inst.pc)
         if self._emit_mbs_verdict is not None:
@@ -142,6 +133,8 @@ class MechanismPipeline(MechanismHooks):
                                    inst.mispredicted, self.core.cycle)
 
     def on_recovery(self, pivot: "DynInst", squashed, is_branch: bool) -> None:
+        if self.rename_fields is not None:
+            self.rename_fields.on_recovery(pivot.seq)
         if self.tracker is not None:
             if is_branch and pivot.hard_branch:
                 self.tracker.on_misprediction(pivot, squashed)
@@ -156,6 +149,8 @@ class MechanismPipeline(MechanismHooks):
             if self.tracker is not None:
                 self.tracker.on_branch_retire(inst.seq)
             return
+        if self.rename_fields is not None:
+            self.rename_fields.on_commit(inst)
         if self.replicas is not None:
             self.replicas.on_commit(inst)
 

@@ -55,7 +55,9 @@ class ReplicaManager:
         core = self.core = pipeline.core
         cfg = pipeline.cfg
         self.cfg = cfg
-        self.rename = core.rename
+        fields = self.fields = pipeline.rename_fields
+        assert fields is not None  # built with every selector
+        self.vect_pc = fields.vect_pc
         self.freelist = core.freelist
         self.sregs = core.sregs
         self.window = core.window
@@ -163,14 +165,12 @@ class ReplicaManager:
         return False
 
     def _vect_pc_of(self, inst: "DynInst", r: int):
-        """The V/S+Seq rename state of ``r`` as *this* instruction read it.
-
-        The core renames the destination before the hook runs, so for a
-        source that is also the destination (accumulators) the pre-rename
-        state lives in the instruction's undo record."""
-        if inst.instr.rd == r and inst.rename_undo is not None:
-            return inst.rename_undo[2]
-        return self.rename.vect_pc[r]
+        """The V/S+Seq rename state of ``r`` as *this* instruction read it:
+        a source that is also the destination (accumulators) reads the
+        state from before the destination's write."""
+        if inst.instr.rd == r:
+            return self.fields.vect_before
+        return self.vect_pc[r]
 
     # ------------------------------------------------------------------
     # Dispatch: stride propagation, validation, replication.
@@ -185,16 +185,14 @@ class ReplicaManager:
 
     def _dispatch_load(self, inst: "DynInst") -> None:
         instr = inst.instr
-        rename = self.rename
+        vect_pc = self.vect_pc
         se = self.stride.confident(inst.pc)
         if se is not None:
-            rename.strided_pcs[instr.rd] = (inst.pc,)
-            rename.assign_count += 1
-            rename.assign_sum += 1
+            self.fields.seed_load(instr.rd, inst.pc)
         entry = self.srsmt.lookup(inst.pc)
         if entry is not None:
             if self._validate(inst, entry):
-                rename.vect_pc[instr.rd] = inst.pc
+                vect_pc[instr.rd] = inst.pc
                 return
             entry = None  # validation failed; entry was deallocated
         blacklist = self._conflict_blacklist()
@@ -206,7 +204,7 @@ class ReplicaManager:
             created = self._create_load_entry(inst, se.stride,
                                               se.event if se else None)
             if created:
-                rename.vect_pc[instr.rd] = inst.pc
+                vect_pc[instr.rd] = inst.pc
             return
         # Dependent ("gather") load: the address register is the outcome of
         # a vectorized instruction (step 3's dependence-propagation rule).
@@ -223,7 +221,7 @@ class ReplicaManager:
                 return
             prod = self.srsmt.lookup(vpc)
             if prod is not None and self._create_dep_load_entry(inst, prod):
-                rename.vect_pc[instr.rd] = inst.pc
+                vect_pc[instr.rd] = inst.pc
 
     def _new_entry(self, inst: "DynInst", event) -> Optional[SRSMTEntry]:
         """Allocate replicas for ``inst``; the caller shapes the entry
@@ -276,20 +274,19 @@ class ReplicaManager:
     # -- ALU dependents: vectorize when a source is vectorized ------------
     def _dispatch_alu(self, inst: "DynInst") -> None:
         instr = inst.instr
-        rename = self.rename
+        vect_pc = self.vect_pc
         entry = self.srsmt.lookup(inst.pc)
         if entry is not None:
             if self._validate(inst, entry):
-                rename.vect_pc[instr.rd] = inst.pc
+                vect_pc[instr.rd] = inst.pc
                 return
             entry = None
         # Fast early-out (inlined _vect_pc_of): most ALU instructions have
         # no vectorized source and leave here after two table reads.
-        vect_pc = rename.vect_pc
-        undo = inst.rename_undo
+        before = self.fields.vect_before
         rd = instr.rd
         for r in instr.srcs:
-            v = undo[2] if (undo is not None and r == rd) else vect_pc[r]
+            v = before if r == rd else vect_pc[r]
             if v is not None:
                 break
         else:
@@ -328,7 +325,7 @@ class ReplicaManager:
             return
         entry.operands = operands
         if self._install(inst, entry):
-            rename.vect_pc[instr.rd] = inst.pc
+            vect_pc[instr.rd] = inst.pc
 
     # -- validation (step 4) ----------------------------------------------
     def _validate(self, inst: "DynInst", entry: SRSMTEntry) -> bool:

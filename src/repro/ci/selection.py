@@ -7,7 +7,7 @@ replicating:
 * :class:`SliceSelector`       — the paper's CI masking: only loads in
   the backward slice of a control-independent instruction (clean sources
   past the re-convergent point of an armed reuse event) are selected,
-  via the rename table's stridedPC extension and the S flag;
+  via the stridedPC rename field and the S flag;
 * :class:`GreedySliceSelector` — the full dynamic-vectorization
   comparator [12]: *every* confident strided load is vectorized, no
   control-independence filtering at all.
@@ -39,7 +39,9 @@ class SliceSelector:
         # is already one.
         self.pipeline = weakref.proxy(pipeline)
         self.core = pipeline.core
-        self.rename = pipeline.core.rename
+        fields = pipeline.rename_fields
+        assert fields is not None  # built with every selector
+        self.strided_pcs = fields.strided_pcs
         cfg = pipeline.cfg
         self.cfg = cfg
         events = pipeline.core.events
@@ -68,20 +70,16 @@ class SliceSelector:
             self.stats.ci_selected += 1
             if self._emit_ci_selected is not None:
                 self._emit_ci_selected(ev, inst.pc, self.core.cycle)
-        # Select every strided load in the backward slice (rename table's
-        # stridedPC extension) for vectorization next time it is fetched.
-        rename = self.rename
+        # Select every strided load in the backward slice (the stridedPC
+        # rename field) for vectorization next time it is fetched.
+        strided_pcs = self.strided_pcs
         emit_slice_marked = self._emit_slice_marked
         for r in instr.srcs:
-            for lpc in rename.strided_pcs[r]:
+            for lpc in strided_pcs[r]:
                 ok = self.stride.mark_selected(
                     lpc, ev, conflict_blacklist=self.cfg.ci_conflict_blacklist)
                 if emit_slice_marked is not None:
                     emit_slice_marked(ev, lpc, ok, self.core.cycle)
-
-    def on_load_retire(self, pc: int, eff_addr: int) -> None:
-        """Train the stride predictor on a committed load."""
-        self.stride.update(pc, eff_addr)
 
 
 class GreedySliceSelector(SliceSelector):

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..analysis import harmonic_mean
 from ..runtime import RunSpec
 from ..uarch import ProcessorConfig, SimStats
-from ..workloads import workload_names
+from ..workloads import kernel_names
 from .common import Runner
 
 
@@ -43,7 +43,7 @@ class SweepSpec:
         return [label for label, _ in self.series]
 
     def kernel_list(self) -> List[str]:
-        return list(self.kernels) if self.kernels else workload_names()
+        return list(self.kernels) if self.kernels else kernel_names()
 
     def config(self, label: str) -> ProcessorConfig:
         for lab, cfg in self.series:

@@ -24,6 +24,11 @@ entry: deallocation drops the wait lists keyed by the dead entry.
 
 **stride predictor** — confidence stays within the 2-bit counter range.
 
+**rename fields** — the mechanism's undo records
+(:mod:`repro.ci.rename_fields`) cover exactly the in-flight register
+writers, in window order: none is missing, and none is left for a
+committed or squashed instruction.
+
 Violations are collected (``strict=False``) or raised immediately as
 :class:`InvariantViolation` (``strict=True``, the ``--check`` default).
 Checking is opt-in and costs a window walk per cycle, so the default
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..isa.predecode import F_WRITES_REG
 from ..observe.base import Observer
 
 #: 2-bit stride-confidence counter bound (mirrors ci/stride.py)
@@ -81,6 +87,8 @@ class InvariantChecker(Observer):
                 self._check_replicas(core, mech)
             if mech.selector is not None:
                 self._check_stride(core, mech.selector.stride)
+            if mech.rename_fields is not None:
+                self._check_rename_fields(core, mech.rename_fields)
 
     # -- core ------------------------------------------------------------
     def _check_core(self, core) -> None:
@@ -180,6 +188,26 @@ class InvariantChecker(Observer):
             if not 0 <= e.confidence <= _CONF_MAX:
                 self._fail(core, f"stride pc={pc}: confidence "
                                  f"{e.confidence} outside [0, {_CONF_MAX}]")
+
+    # -- rename fields ----------------------------------------------------
+    def _check_rename_fields(self, core, fields) -> None:
+        flags = core.image.flags
+        writers = [inst.seq for inst in core.window
+                   if flags[inst.pc] & F_WRITES_REG]
+        records = [rec[0] for rec in fields.undo]
+        if records == writers:
+            return
+        missing = sorted(set(writers) - set(records))
+        stale = sorted(set(records) - set(writers))
+        if missing:
+            self._fail(core, f"rename fields: no undo record for in-flight "
+                             f"writer(s) {missing[:5]}")
+        if stale:
+            self._fail(core, f"rename fields: undo record(s) left for "
+                             f"{stale[:5]}, committed or squashed")
+        if not missing and not stale:
+            self._fail(core, "rename fields: undo records out of window "
+                             "order")
 
     # ------------------------------------------------------------------
     def render(self) -> str:

@@ -15,7 +15,7 @@ from .core import Core, PortState, SimulationError, simulate
 from .frontend import FetchUnit
 from .hooks import MechanismHooks
 from .funits import FUPool
-from .rename import FreeList, RenameTable
+from .rename import FreeList
 from .rob import DynInst, MEM_ABSENT
 from .stats import SimStats
 
@@ -37,7 +37,6 @@ __all__ = [
     "MemoryHierarchy",
     "PortState",
     "ProcessorConfig",
-    "RenameTable",
     "SimStats",
     "SimulationError",
     "ci",

@@ -37,7 +37,7 @@ from .config import ProcessorConfig
 from .frontend import FetchUnit
 from .funits import FUPool
 from .hooks import MechanismHooks, bind_hooks, flatten
-from .rename import FreeList, RenameTable
+from .rename import FreeList
 from .rob import DynInst, MEM_ABSENT
 from .stats import SimStats
 
@@ -134,7 +134,8 @@ class Core:
         self.bpred = make_predictor(cfg.bpred_kind, cfg.gshare_bits)
         self.hierarchy = MemoryHierarchy(cfg)
         self.fu = FUPool(cfg)
-        self.rename = RenameTable(NUM_LOGICAL_REGS, cfg.strided_pcs_per_entry)
+        #: rename map: each register's youngest in-flight producer
+        self.owner: List[Optional[DynInst]] = [None] * NUM_LOGICAL_REGS
         self.freelist = FreeList(cfg.rename_regs)
         self.window: Deque[DynInst] = deque()
         self.lsq_count = 0
@@ -364,9 +365,6 @@ class Core:
                     if c % interval == 0:
                         stats.record_interval()
                     cycle_end(self)
-        self.stats.stridedpc_assignments = self.rename.assign_count
-        self.stats.stridedpc_sum = self.rename.assign_sum
-        self.stats.stridedpc_overflow = self.rename.overflow_count
         self.stats.regs_slack = self.freelist.slack
         for obs in self.observers:
             obs.finalize(self.stats)
@@ -381,7 +379,7 @@ class Core:
         stats = self.stats
         window = self.window
         freelist = self.freelist
-        rename = self.rename
+        owner_a = self.owner
         cycle = self.cycle
         on_commit = self._on_commit
         flags_a = self.image.flags
@@ -419,7 +417,9 @@ class Core:
                 stats.committed_reused += 1
             if flags & F_WRITES_REG:
                 freelist.release(1)
-                rename.clear_owner_if(rd_a[inst.pc], inst)
+                rd = rd_a[inst.pc]
+                if owner_a[rd] is inst:
+                    owner_a[rd] = None  # the value is architectural
                 # A retired instruction can no longer be undone; keeping
                 # the record would chain every older producer to it.
                 inst.rename_undo = None
@@ -497,7 +497,7 @@ class Core:
         rd_a = self.image.rd
         sregs = self.sregs
         mem = self.mem
-        rename = self.rename
+        owner_a = self.owner
         freelist = self.freelist
         pivot_seq = pivot.seq
         squashed: List[DynInst] = []
@@ -521,7 +521,7 @@ class Core:
                 self.lsq_count -= 1
             if flags & F_WRITES_REG:
                 sregs[rd_a[inst.pc]] = inst.sreg_old
-                rename.restore_reg(inst.rename_undo)
+                owner_a[rd_a[inst.pc]] = inst.rename_undo
                 inst.rename_undo = None
                 if inst.reg_allocated:
                     freelist.release(1)
@@ -643,8 +643,7 @@ class Core:
         on_dispatch = self._on_dispatch
         stats = self.stats
         freelist = self.freelist
-        rename = self.rename
-        owner_a = rename.owner
+        owner_a = self.owner
         sregs = self.sregs
         mem = self.mem
         store_map = self.store_map
@@ -710,7 +709,7 @@ class Core:
                 inst.actual_next_pc = target_a[pc] if taken else pc + 1
             elif kind == K_JUMP:
                 inst.actual_next_pc = target_a[pc]
-            # -- rename: source dependencies through the rename table.
+            # -- rename: source dependencies through the rename map.
             num_pending = 0
             for r in srcs_a[pc]:
                 owner = owner_a[r]
@@ -741,16 +740,11 @@ class Core:
                 self.lsq_count += 1
             if num_pending:
                 inst.num_pending = num_pending
-            # Destination rename, with default stridedPC propagation
-            # (ALU ops merge their sources'; the mechanism hook refines
-            # loads).
+            # Destination rename; the undo record is the previous owner.
             if writes:
                 rd = rd_a[pc]
-                srcs = srcs_a[pc]
-                spcs = rename.merge_strided(srcs) \
-                    if kind != K_LOAD and srcs else ()
-                inst.rename_undo = rename.snapshot_reg(rd)
-                rename.write(rd, inst, None, spcs)
+                inst.rename_undo = owner_a[rd]
+                owner_a[rd] = inst
             # -- schedule (K_JUMP/K_NOP/K_HALT complete unconditionally).
             if kind >= K_JUMP:
                 inst.issued = True

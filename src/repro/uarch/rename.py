@@ -1,70 +1,4 @@
-"""Rename map table with the paper's extensions, plus the free list.
-
-Each logical register maps to:
-
-* ``owner`` — the youngest in-flight producer (``None`` once the value is
-  architectural), used by the timing model for wakeup;
-* ``vect_pc`` — the V/S bit + Seq field of Figure 7: the PC of the latest
-  vectorized producer, or ``None``;
-* ``strided_pcs`` — the stridedPC extension (Section 2.3.2): the PCs of
-  the strided loads in the value's backward slice, capped at
-  ``strided_pcs_per_entry`` (Figure 4's knob).
-"""
-
-from __future__ import annotations
-
-from typing import List, Optional, Tuple
-
-
-class RenameTable:
-    """64-entry rename map with checkpoint-free undo (per-instruction)."""
-
-    def __init__(self, num_regs: int = 64, strided_pcs_per_entry: int = 2):
-        self.num_regs = num_regs
-        self.cap = strided_pcs_per_entry
-        self.owner: List[Optional[object]] = [None] * num_regs
-        self.vect_pc: List[Optional[int]] = [None] * num_regs
-        self.strided_pcs: List[Tuple[int, ...]] = [()] * num_regs
-        #: stats hooks (wired by the core)
-        self.overflow_count = 0
-        self.assign_count = 0
-        self.assign_sum = 0
-
-    def snapshot_reg(self, r: int) -> tuple:
-        """Undo record for logical register ``r``."""
-        return (r, self.owner[r], self.vect_pc[r], self.strided_pcs[r])
-
-    def restore_reg(self, rec: tuple) -> None:
-        r, owner, vect, spcs = rec
-        self.owner[r] = owner
-        self.vect_pc[r] = vect
-        self.strided_pcs[r] = spcs
-
-    def write(self, r: int, owner: object, vect_pc: Optional[int],
-              strided_pcs: Tuple[int, ...]) -> None:
-        self.owner[r] = owner
-        self.vect_pc[r] = vect_pc
-        if len(strided_pcs) > self.cap:
-            self.overflow_count += 1
-            strided_pcs = strided_pcs[: self.cap]
-        if strided_pcs:
-            self.assign_count += 1
-            self.assign_sum += len(strided_pcs)
-        self.strided_pcs[r] = strided_pcs
-
-    def merge_strided(self, srcs) -> Tuple[int, ...]:
-        """Union of the sources' stridedPC sets, preserving order."""
-        out: List[int] = []
-        for r in srcs:
-            for pc in self.strided_pcs[r]:
-                if pc not in out:
-                    out.append(pc)
-        return tuple(out)
-
-    def clear_owner_if(self, r: int, inst: object) -> None:
-        """Called at commit: the value becomes architectural."""
-        if self.owner[r] is inst:
-            self.owner[r] = None
+"""The physical-register free list; the rename map is ``Core.owner``."""
 
 
 class FreeList:

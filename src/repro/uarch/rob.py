@@ -22,12 +22,13 @@ class DynInst:
     attribute access on the fast path — the core reads these fields many
     times per dynamic instruction, wrong paths included.
 
-    A consumer references its producer through its undo record or
-    ``forward_store``, so the producer's ``consumers`` list would close a
-    reference cycle.  The core therefore allocates that list on the
-    first consumer and drops it at writeback or squash, and drops
-    ``rename_undo`` at commit or undo: reference counting alone frees
-    every instruction (DESIGN.md §9.6).
+    A consumer references its producer through ``forward_store`` or its
+    undo record ``rename_undo`` (its destination's previous owner), so
+    the producer's ``consumers`` list would close a reference cycle.  The
+    core therefore allocates that list on the first consumer and drops
+    it at writeback or squash, and drops ``rename_undo`` at commit or
+    undo: reference counting alone frees every instruction (DESIGN.md
+    §9.6).
     """
 
     __slots__ = (
@@ -66,7 +67,7 @@ class DynInst:
         self.done = False
         self.done_cycle = -1
         self.in_ready = False
-        self.rename_undo: Optional[tuple] = None
+        self.rename_undo: Optional["DynInst"] = None
         self.mem_old = MEM_ABSENT
         self.reg_allocated = False
         self.sreg_old: Optional[int] = None

@@ -72,16 +72,21 @@ def get_workload(name: str) -> WorkloadSpec:
     if spec is not None:
         return spec
     raise UnknownWorkloadError(
-        unknown_name_message("kernel", name, workload_names()))
+        unknown_name_message("kernel", name, kernel_names()))
 
 
-def workload_names() -> List[str]:
+def kernel_names() -> List[str]:
     """Every registered kernel, in registration (paper) order."""
     return list(_REGISTRY)
 
 
 def all_workloads() -> List[WorkloadSpec]:
     return list(_REGISTRY.values())
+
+
+def build_program(name: str, scale: float = 1.0, seed: int = 1) -> Program:
+    """Assemble one registered kernel."""
+    return get_workload(name).program(scale, seed)
 
 
 # ---------------------------------------------------------------------------

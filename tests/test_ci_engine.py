@@ -6,7 +6,7 @@ from repro import run_kernel, run_program
 from repro.isa import assemble, run as frun
 from repro.uarch import ProcessorConfig, ci, scal, wb, with_spec_mem
 from repro.uarch.config import INF_REGS
-from repro.workloads import SUITE, build_program
+from repro.workloads import all_workloads, build_program
 
 SCALE = 0.4
 
@@ -29,14 +29,14 @@ def results():
 class TestCorrectness:
     """The mechanism must never change architectural results."""
 
-    @pytest.mark.parametrize("name", [s.name for s in SUITE])
+    @pytest.mark.parametrize("name", [s.name for s in all_workloads()])
     @pytest.mark.parametrize("policy", ["ci", "ci-iw", "vect"])
     def test_commit_count_matches_functional(self, name, policy):
         prog = build_program(name, SCALE)
         st = run_program(prog, ci(1, 512, policy=policy))
         assert st.committed == frun(prog).steps
 
-    @pytest.mark.parametrize("name", [s.name for s in SUITE])
+    @pytest.mark.parametrize("name", [s.name for s in all_workloads()])
     def test_spec_mem_mode_correct(self, name):
         prog = build_program(name, SCALE)
         st = run_program(prog, with_spec_mem(ci(1, 256), 768))

@@ -15,7 +15,9 @@ from repro.ci import (
 from repro import hooks_for
 from repro.ci.assoc import SetAssocTable
 from repro.ci.mbs import COUNTER_MAX, COUNTER_MID
-from repro.uarch import Core, ci, with_spec_mem
+from repro.ci.rename_fields import RenameFields
+from repro.isa import assemble
+from repro.uarch import Core, SimStats, ci, with_spec_mem
 from repro.workloads import build_program
 
 
@@ -293,3 +295,103 @@ class TestSpecDataMemory:
         m = self.replicas(1)
         with pytest.raises(AssertionError):
             m._release_regs(1)
+
+
+class TestRenameFields:
+    """The stridedPC and V/S+Seq rename fields and their undo records."""
+
+    PROGRAM = assemble("""
+        ld   r1, 0(r9)
+        add  r2, r1, r3
+        add  r2, r2, r1
+        st   r2, 0(r9)
+        halt
+    """)
+
+    class Inst:
+        def __init__(self, seq, pc):
+            self.seq, self.instr = seq, TestRenameFields.PROGRAM.code[pc]
+
+    def fields(self, cap=2):
+        return RenameFields(cap, SimStats())
+
+    def test_truncation_counts_overflow(self):
+        f = self.fields(cap=2)
+        f.write(1, (10, 20, 30))
+        assert f.strided_pcs[1] == (10, 20)
+        st = f.stats
+        assert st.stridedpc_overflow == 1
+        assert (st.stridedpc_assignments, st.stridedpc_sum) == (1, 2)
+        f.write(2, ())
+        assert st.stridedpc_assignments == 1  # an empty set is no assignment
+
+    def test_assignment_stats(self):
+        f = self.fields(cap=4)
+        f.write(1, (10,))
+        f.write(2, (10, 20))
+        st = f.stats
+        assert (st.stridedpc_assignments, st.stridedpc_sum) == (2, 3)
+
+    def test_load_path_bypasses_the_cap(self):
+        f = self.fields(cap=0)
+        f.seed_load(1, 7)
+        assert f.strided_pcs[1] == (7,)
+        st = f.stats
+        assert st.stridedpc_overflow == 0
+        assert (st.stridedpc_assignments, st.stridedpc_sum) == (1, 1)
+
+    def test_merge_dedups_in_order(self):
+        f = self.fields(cap=4)
+        f.write(1, (10, 20))
+        f.write(2, (20, 30))
+        assert f.merge((1, 2)) == (10, 20, 30)
+        assert f.merge((2, 1)) == (20, 30, 10)
+
+    def test_dispatch_writes_destination(self):
+        f = self.fields(cap=4)
+        f.write(1, (5,))
+        f.write(3, (40,))
+        f.vect_pc[1] = 9
+        f.on_dispatch(self.Inst(0, 0))  # ld r1: a load starts empty
+        assert f.strided_pcs[1] == () and f.vect_pc[1] is None
+        assert f.vect_before == 9
+        f.seed_load(1, 0)
+        f.on_dispatch(self.Inst(1, 1))  # add r2, r1, r3
+        assert f.strided_pcs[2] == (0, 40)
+        f.vect_pc[2] = 1
+        f.on_dispatch(self.Inst(2, 2))  # add r2, r2, r1 (accumulator)
+        assert f.vect_before == 1 and f.vect_pc[2] is None
+        assert f.strided_pcs[2] == (0, 40)
+        f.on_dispatch(self.Inst(3, 3))  # a store renames nothing
+        assert [rec[0] for rec in f.undo] == [0, 1, 2]
+
+    def test_undo_restores_youngest_first(self):
+        f = self.fields(cap=4)
+        f.vect_pc[2] = 99
+        f.write(2, (50,))
+        f.write(1, (7,))
+        f.on_dispatch(self.Inst(1, 1))  # r2 := (7,)
+        f.vect_pc[2] = 1
+        f.on_dispatch(self.Inst(2, 2))  # r2 := (7,) again
+        f.vect_pc[2] = 2
+        f.on_recovery(1)  # squash seq 2 only
+        assert f.vect_pc[2] == 1 and f.strided_pcs[2] == (7,)
+        f.on_dispatch(self.Inst(3, 2))
+        f.on_recovery(0)  # both writers of r2: the oldest record wins
+        assert f.vect_pc[2] == 99 and f.strided_pcs[2] == (50,)
+        assert not f.undo
+
+    def test_commit_drops_only_the_retiring_record(self):
+        f = self.fields()
+        f.on_dispatch(self.Inst(4, 1))
+        f.on_dispatch(self.Inst(6, 2))
+        f.on_commit(self.Inst(3, 3))  # a store retires: nothing to drop
+        assert [rec[0] for rec in f.undo] == [4, 6]
+        f.on_commit(self.Inst(4, 1))
+        assert [rec[0] for rec in f.undo] == [6]
+
+    def test_records_hold_no_instruction(self):
+        f = self.fields()
+        f.on_dispatch(self.Inst(0, 1))
+        assert all(isinstance(x, (int, tuple, type(None)))
+                   for rec in f.undo for x in rec)

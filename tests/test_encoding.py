@@ -13,7 +13,7 @@ from repro.isa.encoding import (
     encode_instruction,
     encode_program,
 )
-from repro.workloads import SUITE
+from repro.workloads import get_workload, kernel_names
 from repro.workloads.micro import MICRO_PATTERNS, micro_program
 
 
@@ -69,10 +69,9 @@ class TestInstructionRoundtrip:
 
 
 class TestProgramRoundtrip:
-    @pytest.mark.parametrize("name", [s.name for s in SUITE])
+    @pytest.mark.parametrize("name", kernel_names())
     def test_suite_kernels_bit_exact(self, name):
-        spec = next(s for s in SUITE if s.name == name)
-        prog = spec.program(0.3, 1)
+        prog = get_workload(name).program(0.3, 1)
         again = decode_program(encode_program(prog))
         assert again.code == prog.code
         assert again.data_init == prog.data_init

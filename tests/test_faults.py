@@ -163,7 +163,44 @@ class _Corrupter(Observer):
             self.done = True
 
 
+class _UndoCorrupter(Observer):
+    """Drops the oldest rename-field undo record ("missing") or adds one
+    for an instruction that is not in flight ("stale")."""
+
+    name = "undo-corrupter"
+
+    def __init__(self, mechanism, fault):
+        self.mechanism = mechanism
+        self.fault = fault
+        self.done = False
+
+    def on_cycle_end(self, core):
+        undo = self.mechanism.rename_fields.undo
+        if self.done or core.cycle < 100 or not undo:
+            return
+        if self.fault == "missing":
+            undo.popleft()
+        else:
+            undo.appendleft((-1, 0, None, ()))
+        self.done = True
+
+
 class TestInvariantChecker:
+    @pytest.mark.parametrize("fault,message", [
+        ("missing", "no undo record for in-flight writer"),
+        ("stale", "undo record(s) left for [-1]")])
+    def test_detects_rename_field_undo_faults(self, fault, message):
+        from repro import hooks_for
+        from repro.uarch import Core
+        cfg = ci(1, 512, policy="ci")
+        hooks = hooks_for(cfg)
+        checker = InvariantChecker(strict=False)
+        obs = [_UndoCorrupter(hooks, fault), checker]
+        Core(cfg, prog(), hooks, observer=obs).run()
+        assert checker.violations
+        assert all("rename fields" in v for v in checker.violations)
+        assert message in checker.violations[0]
+
     def test_detects_seeded_corruption(self):
         from repro import hooks_for
         from repro.uarch import Core

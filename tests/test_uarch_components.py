@@ -11,7 +11,6 @@ from repro.uarch import (
     Gshare,
     MemoryHierarchy,
     ProcessorConfig,
-    RenameTable,
     ci,
     scal,
     wb,
@@ -117,45 +116,6 @@ class TestCaches:
         h = MemoryHierarchy(ProcessorConfig())
         h.store_access(0x5000)
         assert h.load_latency(0x5000, now=300) == 1
-
-
-class TestRenameTable:
-    def test_write_and_restore(self):
-        rt = RenameTable(strided_pcs_per_entry=2)
-        rec = rt.snapshot_reg(5)
-        tok = object()
-        rt.write(5, tok, 42, (1, 2))
-        assert rt.owner[5] is tok and rt.vect_pc[5] == 42
-        rt.restore_reg(rec)
-        assert rt.owner[5] is None and rt.vect_pc[5] is None
-        assert rt.strided_pcs[5] == ()
-
-    def test_strided_cap_and_overflow_count(self):
-        rt = RenameTable(strided_pcs_per_entry=2)
-        rt.write(1, None, None, (10, 20, 30))
-        assert rt.strided_pcs[1] == (10, 20)
-        assert rt.overflow_count == 1
-
-    def test_merge_strided_dedups_preserving_order(self):
-        rt = RenameTable(strided_pcs_per_entry=4)
-        rt.write(1, None, None, (10, 20))
-        rt.write(2, None, None, (20, 30))
-        assert rt.merge_strided((1, 2)) == (10, 20, 30)
-
-    def test_assignment_stats(self):
-        rt = RenameTable(strided_pcs_per_entry=4)
-        rt.write(1, None, None, (10,))
-        rt.write(2, None, None, (10, 20))
-        assert rt.assign_count == 2 and rt.assign_sum == 3
-
-    def test_clear_owner_only_for_matching_inst(self):
-        rt = RenameTable()
-        a, b = object(), object()
-        rt.write(3, a, None, ())
-        rt.clear_owner_if(3, b)
-        assert rt.owner[3] is a
-        rt.clear_owner_if(3, a)
-        assert rt.owner[3] is None
 
 
 class TestFreeList:

@@ -1,10 +1,17 @@
 """Integration tests for the out-of-order core's timing behaviour."""
 
+import json
+import os
+
 import pytest
 
+from repro import hooks_for
 from repro.isa import assemble, run
-from repro.uarch import ProcessorConfig, SimulationError, scal, simulate, wb
-from repro.workloads import SUITE, build_program
+from repro.uarch import (Core, ProcessorConfig, SimulationError, ci, scal,
+                         simulate, wb)
+from repro.workloads import all_workloads, build_program
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def sim(src, cfg=None, **kw):
@@ -171,7 +178,34 @@ class TestDeterminism:
         assert a.as_dict() == b.as_dict()
 
 
-@pytest.mark.parametrize("name", [s.name for s in SUITE])
+class TestRenameMap:
+    def test_clear_owner_only_for_matching_inst(self):
+        """A retiring writer clears its register's owner only while it
+        still is the owner; undo restores the previous owner."""
+        from repro.uarch import MechanismHooks
+
+        class OwnerAtCommit(MechanismHooks):
+            def __init__(self):
+                self.seen = []
+
+            def on_commit(self, inst):
+                if inst.instr.rd == 1:
+                    self.seen.append((inst, self.core.owner[1]))
+
+        hooks = OwnerAtCommit()
+        core = Core(ProcessorConfig(), assemble("""
+            li   r1, 1
+            addi r1, r1, 1
+            halt
+        """), hooks)
+        core.run()
+        (first, owner_then), (second, owner_last) = hooks.seen
+        assert owner_then is second   # the younger writer still owns r1
+        assert owner_last is None     # the value is architectural
+        assert first.rename_undo is None and second.rename_undo is None
+
+
+@pytest.mark.parametrize("name", [s.name for s in all_workloads()])
 def test_every_kernel_commits_functional_count(name):
     """Golden cross-check: timing simulation must commit exactly the
     functional dynamic instruction count, for every kernel."""
@@ -197,3 +231,27 @@ class TestIPCTimeline:
         # Steady-state intervals beat the cold first interval (stride
         # predictor training + replica batches ramping).
         assert max(series[3:]) > series[0]
+
+
+@pytest.mark.parametrize("scheme", ["scal", "wb", "ci"])
+def test_only_the_mechanism_holds_rename_fields(scheme):
+    """The stridedPC and V/S+Seq rename fields are mechanism state: a
+    core without a mechanism holds none, and under ``ci`` the mechanism
+    that holds them still counts the golden ``stridedpc_*`` values."""
+    cfg = {"scal": scal(1, 256), "wb": wb(1, 512), "ci": ci(1, 512)}[scheme]
+    hooks = hooks_for(cfg)
+    core = Core(cfg, build_program("bzip2", 0.3, 1), hooks)
+    st = core.run()
+    keys = ("stridedpc_assignments", "stridedpc_sum", "stridedpc_overflow")
+    counts = {k: getattr(st, k) for k in keys}
+    if hooks is None:
+        held = [name for obj in (core, *vars(core).values())
+                for name in ("strided_pcs", "vect_pc", "merge_strided")
+                if hasattr(obj, name)]
+        assert held == []
+        assert counts == dict.fromkeys(keys, 0)
+    else:
+        assert hooks.rename_fields is not None
+        with open(os.path.join(GOLDEN, f"suite_{scheme}.json")) as fh:
+            golden = json.load(fh)["bzip2"]
+        assert counts == {k: golden[k] for k in keys}
