@@ -348,7 +348,7 @@ class ReplicaManager:
                                 self.core.cycle)
             if instr.is_load:
                 se = self.stride.confident(inst.pc)
-                blacklist = self.cfg.ci_conflict_blacklist
+                blacklist = self._conflict_blacklist()
                 if se is not None \
                         and (self.greedy or se.selected) \
                         and not (blacklist and se.conflicts >= blacklist):

@@ -102,14 +102,6 @@ class SRSMTEntry:
             return any(a == addr for a in self.addrs if a is not None)
         return self.range_lo <= addr <= self.range_hi
 
-    @property
-    def exhausted(self) -> bool:
-        return self.decode >= self.nregs
-
-    @property
-    def fully_committed(self) -> bool:
-        return self.commit >= self.nregs
-
     def rollback_decode(self) -> None:
         """Branch-misprediction recovery: copy commit into decode."""
         self.decode = self.commit
@@ -298,6 +290,10 @@ class ReplicaScheduler:
         keep: List[Tuple[int, int, SRSMTEntry, int]] = []
         waiters = self._waiters
         pop = heapq.heappop
+        wide_bus = ports.cfg.wide_bus
+        line_size = ports.hierarchy.l1.line
+        ports_left = ports.ports_left
+        open_lines = ports.open_lines
         # Issue in replica-index order so sibling entries' same-iteration
         # loads (which usually share a cache line) group into one wide
         # access, as the scalar loads they shadow would.  The heap pops
@@ -326,11 +322,20 @@ class ReplicaScheduler:
                     addr = (base + entry.instr.imm) & ((1 << 64) - 1)
                 else:
                     addr = entry.replica_addr(idx)
-                line = ports.hierarchy.line_of(addr)
-                if not ports.can_load(line):
+                # Port arbitration, as in Core._issue.
+                line = addr // line_size
+                free = open_lines.get(line, 0) if wide_bus else 0
+                if free > 0:
+                    open_lines[line] = free - 1
+                elif ports_left > 0:
+                    ports_left -= 1
+                    if wide_bus:
+                        open_lines[line] = ports.cfg.wide_loads_per_access - 1
+                    stats.l1d_accesses += 1
+                    stats.l1d_replica_accesses += 1
+                else:
                     keep.append(item)
                     continue
-                ports.do_load(line, replica=True)
                 entry.addrs[idx] = addr
                 value = self.mem_read(addr)
                 lat = self.load_latency(addr, now)
@@ -386,6 +391,7 @@ class ReplicaScheduler:
             heapq.heappush(self.completions,
                            (now + lat, self._tick, entry, idx,
                             entry.generation))
+        ports.ports_left = ports_left
         for item in keep:
             heapq.heappush(pending, item)
         return issued

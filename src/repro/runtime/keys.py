@@ -27,7 +27,10 @@ the serve layer's coalescing index and a JSON-round-tripped
 A CI lint asserts ``hashlib`` appears nowhere else under ``src/repro``
 (and ``tests/test_run_spec.py`` enforces the same), which is what makes
 "same request ⇒ same key" a structural guarantee instead of three
-copies kept in sync by hand.
+copies kept in sync by hand.  Every hash goes through :func:`_sha256`,
+which imports ``hashlib`` on first use: a process that only simulates
+(``import repro``, :func:`cached_program`, ``simulate``) never maps
+OpenSSL, and the same lint rejects a module-level ``hashlib`` import.
 
 The module also owns the process-wide *program* memo
 (:func:`cached_program`): key derivation, in-process simulation and the
@@ -37,7 +40,6 @@ exactly once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from typing import TYPE_CHECKING, Dict, Tuple
@@ -56,6 +58,12 @@ CACHE_SCHEMA = 2
 #: bump when the functional-checkpoint payload layout changes
 #: (invalidates the checkpoint store — see repro.sampling.checkpoint)
 CHECKPOINT_SCHEMA = 1
+
+
+def _sha256(data: bytes = b""):
+    """A SHA-256 hash object; the first call imports ``hashlib``."""
+    import hashlib
+    return hashlib.sha256(data)
 
 
 #: the ``CacheConfig`` levels nested in a ``ProcessorConfig``
@@ -102,7 +110,7 @@ def program_fingerprint(program: "Program") -> str:
     cached = getattr(program, "_fingerprint", None)
     if cached is not None:
         return cached
-    h = hashlib.sha256()
+    h = _sha256()
     for instr in program.code:
         h.update(repr((int(instr.op), instr.rd, instr.rs1, instr.rs2,
                        instr.imm, instr.target, instr.pc)).encode())
@@ -121,7 +129,7 @@ def digest_image(image: ProgramImage) -> str:
     operand encoding).  :attr:`ProgramImage.digest` delegates here and
     caches the result on the image.
     """
-    h = hashlib.sha256()
+    h = _sha256()
     h.update(f"predecode={PREDECODE_VERSION}\n".encode())
     for pc in range(image.n):
         h.update(repr((image.kind[pc], image.flags[pc], image.ctrl[pc],
@@ -151,7 +159,7 @@ def job_key(program: "Program", cfg: "ProcessorConfig",
 def _job_key(program: "Program", token: str, scale: float,
              seed: int) -> str:
     """:func:`job_key` from an already serialised configuration."""
-    h = hashlib.sha256()
+    h = _sha256()
     h.update(f"schema={CACHE_SCHEMA}\n".encode())
     h.update(program_fingerprint(program).encode())
     h.update(f"image={image_digest(program)}\n".encode())
@@ -163,7 +171,7 @@ def _job_key(program: "Program", token: str, scale: float,
 def stats_digest(stats_dict: dict) -> str:
     """Checksum over the canonical JSON form of a stats payload."""
     canonical = json.dumps(stats_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()
 
 
 # -- the process-wide program memo ------------------------------------------
@@ -251,11 +259,11 @@ def run_key(spec: "RunSpec") -> str:
             program = cached_program(spec.kernel, spec.scale, spec.seed)
             key = _job_key(program, token, spec.scale, spec.seed)
             if spec.faults:
-                h = hashlib.sha256(key.encode())
+                h = _sha256(key.encode())
                 h.update(f"\nfaults={spec.faults}".encode())
                 key = h.hexdigest()
             if spec.sampling:
-                h = hashlib.sha256(key.encode())
+                h = _sha256(key.encode())
                 h.update(f"\nsampling={spec.sampling}".encode())
                 key = h.hexdigest()
             _remember(_key_memo, ident, key)
@@ -275,7 +283,7 @@ def checkpoint_key(fingerprint: str, boundary) -> str:
     instruction index, or the string ``"meta"`` for the per-program
     metadata entry (total dynamic length).
     """
-    h = hashlib.sha256()
+    h = _sha256()
     h.update(f"ckpt-schema={CHECKPOINT_SCHEMA}\n".encode())
     h.update(f"program={fingerprint}\n".encode())
     h.update(f"boundary={boundary}".encode())

@@ -73,9 +73,6 @@ class MemoryHierarchy:
         #: completion cycles of in-flight L1 misses (pruned lazily)
         self._outstanding: List[int] = []
 
-    def line_of(self, addr: int) -> int:
-        return addr // self.l1.line
-
     def load_latency(self, addr: int, now: int) -> int:
         """Latency of a load access started at ``now`` (L1 state updated).
 

@@ -50,10 +50,10 @@ class PortState:
     """Per-cycle L1 data-cache port arbitration, including wide buses.
 
     One instance lives for the whole simulation.  ``Core.run`` restores
-    its budget each cycle (``ports_left``, ``open_lines``) and core loads
-    account inline in ``Core._issue``; the store commit path and the
-    replica scheduler go through the methods below, against the same
-    counters.
+    its budget each cycle (``ports_left``, ``open_lines``); core loads
+    (``Core._issue``) and replica loads (``ReplicaScheduler.issue``)
+    account inline, and the store commit path calls :meth:`try_store`,
+    against the same counters.
     """
 
     def __init__(self, cfg: ProcessorConfig, stats: SimStats,
@@ -64,28 +64,6 @@ class PortState:
         self.ports_left = cfg.l1d_ports
         #: wide bus: loads still free on each line opened this cycle
         self.open_lines: Dict[int, int] = {}
-
-    def can_load(self, line: int) -> bool:
-        if self.cfg.wide_bus and self.open_lines.get(line, 0) > 0:
-            return True
-        return self.ports_left > 0
-
-    def do_load(self, line: int, replica: bool = False) -> None:
-        """Consume port bandwidth for one load (``can_load`` must hold)."""
-        if self.cfg.wide_bus:
-            slots = self.open_lines.get(line, 0)
-            if slots > 0:
-                self.open_lines[line] = slots - 1
-                return
-            self.ports_left -= 1
-            self.open_lines[line] = self.cfg.wide_loads_per_access - 1
-        else:
-            self.ports_left -= 1
-        self.stats.l1d_accesses += 1
-        if replica:
-            self.stats.l1d_replica_accesses += 1
-        else:
-            self.stats.l1d_load_accesses += 1
 
     def try_store(self) -> bool:
         if self.ports_left <= 0:
@@ -587,7 +565,7 @@ class Core:
                 continue
             if flags_a[pc] & F_LOAD:
                 if inst.forward_store is None:
-                    # Port arbitration, as PortState.can_load/do_load.
+                    # Port arbitration; ReplicaScheduler.issue does the same.
                     addr = inst.eff_addr
                     line = addr // hierarchy.l1.line
                     free = open_lines.get(line, 0) if wide_bus else 0

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import run_kernel, run_program
+from repro import hooks_for, run_kernel, run_program
 from repro.isa import assemble, run as frun
-from repro.uarch import ProcessorConfig, ci, scal, wb, with_spec_mem
+from repro.uarch import Core, ProcessorConfig, ci, scal, wb, with_spec_mem
 from repro.uarch.config import INF_REGS
 from repro.workloads import all_workloads, build_program
 
@@ -186,3 +186,43 @@ class TestCoherence:
         # In-text claim: fewer than 3% of stores conflict.
         st = run_kernel("vortex", ci(1, 512), scale=SCALE)
         assert st.coherence_squashes / max(1, st.stores_committed) < 0.03
+
+
+class TestRebatchConflictTolerance:
+    """An exhausted load batch re-batches under the same store-conflict
+    blacklist as a dispatch: 4x the configured tolerance for the greedy
+    vect comparator."""
+
+    PROGRAM = assemble("""
+        ld   r1, 0(r9)
+        halt
+    """)
+
+    class Inst:
+        def __init__(self, pc, instr, eff_addr):
+            self.pc, self.instr, self.eff_addr = pc, instr, eff_addr
+
+    def rebatched(self, policy):
+        cfg = ci(1, 512, policy=policy)
+        assert cfg.ci_conflict_blacklist == 2
+        hooks = hooks_for(cfg)
+        # The test keeps the core: the mechanism holds it only weakly.
+        self.core = Core(cfg, self.PROGRAM, hooks=hooks)
+        m = hooks.replicas
+        for addr in (100, 108, 116, 124):
+            se = m.stride.update(0, addr)
+        se.selected, se.conflicts = True, 2  # blacklisted at 2, not at 8
+        assert m.stride.confident(0) is se
+        inst = self.Inst(0, self.PROGRAM.code[0], 132)
+        assert m._create_load_entry(inst, se.stride, None)
+        old = m.srsmt.lookup(0)
+        old.decode = old.nregs  # the batch is exhausted
+        assert not m._validate(inst, old)
+        new = m.srsmt.lookup(0)
+        return new is not None and new is not old
+
+    def test_greedy_rebatches_below_its_tolerance(self):
+        assert self.rebatched("vect")
+
+    def test_ci_blacklists_at_its_tolerance(self):
+        assert not self.rebatched("ci")

@@ -10,6 +10,9 @@ round-trip — across releases (tests/golden/run_keys.json pins them).
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,8 @@ class TestSingleHashAuthority:
     def test_hashlib_only_in_keys_module(self):
         # The key schema lives in exactly one file; a second hashlib
         # import means a second key vocabulary is growing somewhere.
+        # Even there it is imported by the first hash, never at module
+        # level, so a process that only simulates maps no OpenSSL.
         root = os.path.join(os.path.dirname(__file__), os.pardir,
                             "src", "repro")
         offenders = []
@@ -172,8 +177,34 @@ class TestSingleHashAuthority:
                     continue
                 path = os.path.join(dirpath, fname)
                 with open(path) as fh:
-                    if "hashlib" in fh.read():
-                        rel = os.path.relpath(path, root)
-                        if rel != os.path.join("runtime", "keys.py"):
-                            offenders.append(rel)
-        assert not offenders, f"hashlib outside runtime/keys.py: {offenders}"
+                    text = fh.read()
+                rel = os.path.relpath(path, root)
+                if re.search(r"^(import|from) hashlib", text, re.MULTILINE) \
+                        or ("hashlib" in text
+                            and rel != os.path.join("runtime", "keys.py")):
+                    offenders.append(rel)
+        assert not offenders, f"hashlib outside runtime/keys.py " \
+            f"or imported at module level: {offenders}"
+
+    def test_simulating_loads_no_openssl(self):
+        # Only the first hash imports hashlib: a run that computes no
+        # key never maps OpenSSL, and the first run_key still matches
+        # the golden.
+        with open(GOLDEN) as fh:
+            entry = json.load(fh)["entries"][-1]
+        script = (
+            "import json, sys\n"
+            "from repro import configs, run_kernel\n"
+            "from repro.runtime import RunSpec, run_key\n"
+            "run_kernel('bzip2', configs.ci(1, 512), scale=0.05)\n"
+            "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "print(run_key(RunSpec.from_dict(json.loads(sys.argv[1]))))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(entry["spec"])],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == entry["key"]
