@@ -89,6 +89,11 @@ class ReplicaManager:
         self._vect_wait = False
         #: scalar registers charged per replica (2 for the vect comparator)
         self._vect_factor = 2 if self.greedy else 1
+        #: store-conflict tolerance before a load stops re-vectorizing;
+        #: the greedy comparator [12] keeps re-vectorizing conflicting
+        #: loads far longer (4x), one source of its useless speculation
+        base = cfg.ci_conflict_blacklist
+        self._blacklist = base * 4 if self.greedy else base
         #: consecutive validation failures per PC; instructions that can
         #: never validate (loop-variant scalar operands) stop re-vectorizing
         self._fail_streak: Dict[int, int] = {}
@@ -140,13 +145,15 @@ class ReplicaManager:
         # in the free list so the conventional rename path keeps flowing.
         return fl.alloc_up_to(want, self.cfg.ci_alloc_headroom)
 
-    def _conflict_blacklist(self) -> int:
-        """Store-conflict tolerance before a load stops re-vectorizing.
+    def _revectorizes(self, se) -> bool:
+        """Does a load with confident stride entry ``se`` (re)vectorize?
 
-        The greedy comparator [12] keeps re-vectorizing conflicting loads
-        far longer (4x), one source of its extra useless speculation."""
-        base = self.cfg.ci_conflict_blacklist
-        return base * 4 if self.greedy else base
+        Only a selected load does (any, under greedy), and not once its
+        store conflicts reach the blacklist."""
+        if se is None or not (self.greedy or se.selected):
+            return False
+        blacklist = self._blacklist
+        return not (blacklist and se.conflicts >= blacklist)
 
     def _release_regs(self, n: int) -> None:
         if n > 0:
@@ -195,14 +202,8 @@ class ReplicaManager:
                 vect_pc[instr.rd] = inst.pc
                 return
             entry = None  # validation failed; entry was deallocated
-        blacklist = self._conflict_blacklist()
-        wants_vector = (
-            se is not None
-            and (self.greedy or se.selected)
-            and not (blacklist and se.conflicts >= blacklist))
-        if wants_vector:
-            created = self._create_load_entry(inst, se.stride,
-                                              se.event if se else None)
+        if self._revectorizes(se):
+            created = self._create_load_entry(inst, se.stride, se.event)
             if created:
                 vect_pc[instr.rd] = inst.pc
             return
@@ -215,6 +216,7 @@ class ReplicaManager:
             # The conflict blacklist covers gather loads too: their stride
             # entry exists (every committed load trains the predictor) even
             # though its confidence never builds.
+            blacklist = self._blacklist
             se_any = self.stride.lookup(inst.pc)
             if (blacklist and se_any is not None
                     and se_any.conflicts >= blacklist):
@@ -348,10 +350,7 @@ class ReplicaManager:
                                 self.core.cycle)
             if instr.is_load:
                 se = self.stride.confident(inst.pc)
-                blacklist = self._conflict_blacklist()
-                if se is not None \
-                        and (self.greedy or se.selected) \
-                        and not (blacklist and se.conflicts >= blacklist):
+                if self._revectorizes(se):
                     self._create_load_entry(inst, se.stride, event)
             # ALU entries are recreated by the dependent-vectorization
             # path on this same dispatch (caller re-checks sources).

@@ -17,7 +17,7 @@ Commands
              ``repro serve`` subprocess mid-sweep, assert clean recovery
 ``cache``    inspect, verify or clear the persistent simulation-result cache
 ``serve``    run the simulation service daemon (async HTTP/JSON front end
-             over one persistent runner pool; see DESIGN.md §10)
+             over warm runners and the result cache; see DESIGN.md §10)
 ``submit``   submit kernels to a running daemon and stream status lines
 ``profile``  cProfile one kernel simulation (hot-loop work)
 ``pipeview`` per-instruction pipeline trace (text / Konata / JSONL)
@@ -748,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "REPRO_TIMEOUT)")
     psv.add_argument("--retries", type=int, default=None, metavar="N",
                      help="transient-failure retries (default: "
-                          "REPRO_RETRIES or 1)")
+                          "REPRO_RETRIES or 7)")
     psv.add_argument("--journal", default=None, metavar="FILE",
                      help="crash-safety job journal path (default: "
                           "<cache root>/serve-journal.jsonl)")

@@ -562,7 +562,7 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
         outcomes = client.run(specs, poll=0.05, on_poll=on_poll)
         try:
             for line in client.metrics_text().splitlines():
-                if re.match(r"repro_(server_restarts|pool_restarts|"
+                if re.match(r"repro_(server_restarts|worker_restarts|"
                             r"journal_records|journal_quarantined|"
                             r"jobs_replayed)_total ", line):
                     report.metrics_lines.append(line)

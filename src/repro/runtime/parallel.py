@@ -53,7 +53,7 @@ from .keys import cached_program, capacity_group, run_key
 from .spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - imported where a pool runs
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 
 class WorkerError(RuntimeError):
@@ -155,10 +155,10 @@ def pool_restart_count() -> int:
 
 
 #: failure phases classified as *transient*: the job itself may be fine
-#: and a fresh pool may succeed.  The local retry loop re-runs them with
-#: backoff; the serving layer's pool supervisor keys its restart and
-#: circuit-breaker decisions on the same classification, so "executor
-#: death" means the same thing at both levels.
+#: and a fresh pool may succeed.  The retry loop re-runs them with
+#: backoff; the serving layer's circuit breaker opens on a batch still
+#: all transient after those retries, so "executor death" means the same
+#: thing at both levels.
 TRANSIENT_PHASES = ("timeout", "pool")
 
 
@@ -176,8 +176,8 @@ def default_timeout() -> Optional[float]:
     return value if value > 0 else None
 
 
-def default_retries() -> int:
-    """Transient-failure retries from ``REPRO_RETRIES`` (default 1)."""
+def default_retries(fallback: int = 1) -> int:
+    """Retries for transient failures: ``REPRO_RETRIES`` or ``fallback``."""
     env = os.environ.get("REPRO_RETRIES")
     if env:
         try:
@@ -185,7 +185,7 @@ def default_retries() -> int:
         except ValueError:
             print(f"warning: unparsable REPRO_RETRIES={env!r}; using the "
                   f"default", file=sys.stderr)
-    return 1
+    return fallback
 
 
 def _run_job(job: RunSpec) -> Tuple[Optional[dict], Optional[dict],
@@ -317,6 +317,7 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
         import multiprocessing
         from concurrent.futures import (FIRST_COMPLETED,
                                         ProcessPoolExecutor, wait)
+        from concurrent.futures.process import BrokenProcessPool
         try:  # prefer fork: cheap, inherits the loaded package
             context = multiprocessing.get_context("fork")
         except ValueError:
@@ -324,9 +325,18 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)),
                                  mp_context=context,
                                  initializer=_worker_init) as pool:
-            futures = {
-                pool.submit(_run_batch, [jobs[i] for i in chunk]): chunk
-                for chunk in chunks}
+            futures: Dict[Future, List[int]] = {}
+            try:
+                for chunk in chunks:
+                    future = pool.submit(_run_batch, [jobs[i] for i in chunk])
+                    futures[future] = chunk
+            except BrokenProcessPool as exc:
+                # A worker died before every chunk was submitted: the
+                # unsubmitted jobs are transient too.
+                for chunk in chunks[len(futures):]:
+                    for i in chunk:
+                        results[i] = _Failure("pool", repr(exc))
+                        transient.append(i)
             pending = set(futures)
             try:
                 while pending:

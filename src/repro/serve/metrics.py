@@ -25,12 +25,12 @@ from ..runtime import pool_restart_count
 COUNTER_NAMES = (
     "requests", "jobs_submitted", "jobs_coalesced", "jobs_completed",
     "jobs_failed", "jobs_cancelled", "jobs_rejected", "jobs_replayed",
-    "jobs_rejected_degraded", "pool_restarts", "circuit_trips",
+    "jobs_rejected_degraded", "circuit_trips",
 )
 
 #: every state ``/healthz`` can report (exported as a one-hot gauge)
-SERVER_STATES = ("ok", "replaying-journal", "degraded:pool-restarting",
-                 "degraded:circuit-open", "draining")
+SERVER_STATES = ("ok", "replaying-journal", "degraded:circuit-open",
+                 "draining")
 
 
 def _quantile(sorted_xs: List[float], q: float) -> float:
@@ -77,13 +77,12 @@ class ServerMetrics:
                  executor_totals: Dict[str, int],
                  state: str, jobs: Optional[int],
                  journal: Optional[Dict[str, int]] = None,
-                 supervisor: Optional[Dict[str, object]] = None,
                  ) -> Dict[str, object]:
         """The ``/healthz`` JSON payload.
 
-        ``state`` is one of :data:`SERVER_STATES`; ``journal`` and
-        ``supervisor`` are the server's crash-safety sub-reports (epoch
-        counts / replay tallies, pool-supervisor state machine)."""
+        ``state`` is one of :data:`SERVER_STATES`; ``journal`` is the
+        server's crash-safety sub-report (epoch counts, replay
+        tallies)."""
         p50, p95 = self.latency_quantiles()
         cache_hits = (executor_totals["disk_hits"]
                       + executor_totals["memo_hits"]
@@ -104,8 +103,6 @@ class ServerMetrics:
         }
         if journal is not None:
             out["journal"] = dict(journal)
-        if supervisor is not None:
-            out["supervisor"] = dict(supervisor)
         return out
 
     def render_prometheus(self, queue_snapshot: Dict[str, int],
@@ -153,8 +150,6 @@ class ServerMetrics:
                 ("jobs_rejected_degraded",
                  "Submissions refused while the circuit breaker was "
                  "open."),
-                ("pool_restarts", "Supervised executor restarts after a "
-                                  "dead batch."),
                 ("circuit_trips", "Times the executor circuit breaker "
                                   "opened.")):
             metric(f"{name}_total", "counter", help_,

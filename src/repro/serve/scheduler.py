@@ -1,26 +1,25 @@
-"""Dispatch and executor supervision for the service.
+"""Dispatch and the circuit breaker for the service.
 
 Three pieces (admission itself — a bounded queue depth answered with a
 429-style ``retry_after`` — is one check in the server's submit path):
 
 * :class:`SimExecutor` — the synchronous execution engine.  It owns the
-  persistent per-(scale, seed) :class:`~repro.runtime.ParallelRunner`
+  long-lived per-(scale, seed) :class:`~repro.runtime.ParallelRunner`
   instances (one shared disk cache, warm program/result memos) and
   computes coalescing keys.  Watchdog, retry and failure classification
-  are entirely delegated to ``runtime/parallel.py``; runners run with
-  ``keep_going`` so a failed job becomes an error envelope, never a
-  dead dispatcher.
-* :class:`PoolSupervisor` — executor-death detection.  A batch whose
-  every job died in a *transient* phase (stall timeout, broken pool —
-  :data:`repro.runtime.TRANSIENT_PHASES`) means the executor itself is
-  sick, not the jobs; the supervisor restarts the executor's runners
-  with capped exponential backoff and, after repeated failed restarts,
-  trips a circuit breaker: new submissions are refused with a
+  are entirely delegated to ``runtime/parallel.py``, which re-runs a
+  batch's transient failures on a fresh pool up to the runners'
+  ``retries`` budget (:data:`SERVE_RETRIES` unless ``--retries`` or
+  ``REPRO_RETRIES`` sets it).  Runners run with ``keep_going`` so a
+  failed job becomes an error envelope, never a dead dispatcher.
+* :class:`CircuitBreaker` — executor-death detection.  A batch that is
+  still all transient failures after those retries means the executor
+  itself is sick, not the jobs: new submissions are refused with a
   ``Retry-After`` hint until a cooldown elapses, then the breaker
   half-opens so one healthy batch closes it.
 * :class:`Dispatcher` — the async loop: pop the oldest batch, journal its
   ``started`` records, execute it in a worker thread
-  (``asyncio.to_thread``) under the supervisor's retry policy, fan
+  (``asyncio.to_thread``), let the breaker judge the outcome, fan
   results out to every ticket (journaling each terminal transition),
   repeat.  One batch executes at a time; requests arriving meanwhile
   coalesce onto queued/running entries, which is exactly the reuse
@@ -35,99 +34,65 @@ import traceback
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime import (TRANSIENT_PHASES, FailedResult, ParallelRunner,
-                       ResultCache, RunSpec)
+                       ResultCache, RunSpec, default_retries)
 from . import protocol
 from .journal import COMPLETED, FAILED, JobJournal
 from .metrics import ServerMetrics
 from .protocol import ErrorInfo
 from .queue import Entry, ServeQueue
 
+#: transient-failure retries of the daemon's runners when neither
+#: ``--retries`` nor ``REPRO_RETRIES`` is set: eight attempts, each on a
+#: fresh pool, before a batch's jobs fail and the breaker opens
+SERVE_RETRIES = 7
 
-class PoolSupervisor:
-    """Executor-death detection, supervised restart, circuit breaker.
 
-    State machine (``state``):
+class CircuitBreaker:
+    """Executor-death detection: the admission gate behind a dead pool.
 
-    * ``ok`` — healthy; every non-transient batch outcome resets here.
-    * ``pool-restarting`` — the last batch died transiently; the
-      executor's runners were rebuilt and the batch is being retried
-      after a capped exponential backoff.
-    * ``circuit-open`` — ``max_restarts`` consecutive restarts failed.
-      New submissions are refused (``allows`` / ``retry_after``) while
-      already-queued jobs drain; after ``cooldown`` seconds the breaker
-      half-opens — the next batch probes the pool and a healthy outcome
-      closes it.
+    A *dead* batch is one whose every job still ended in a transient
+    phase (:data:`repro.runtime.TRANSIENT_PHASES`) after the runtime's
+    own retries on fresh pools.  One dead batch opens the breaker
+    (``circuit-open``): new submissions are refused (``allows`` /
+    ``retry_after``) while already-queued jobs drain; after ``cooldown``
+    seconds the breaker half-opens — the next batch probes the pool and
+    a healthy outcome closes it (``ok``).
 
-    All methods run on the event-loop thread (the dispatcher awaits the
-    executor off-loop but consults the supervisor between attempts).
+    All methods run on the event-loop thread.
     """
 
     OK = "ok"
-    RESTARTING = "pool-restarting"
     OPEN = "circuit-open"
 
-    def __init__(self, max_restarts: int = 3, backoff_base: float = 0.5,
-                 backoff_cap: float = 8.0, cooldown: float = 30.0,
-                 clock=time.monotonic):
-        self.max_restarts = max(1, max_restarts)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+    def __init__(self, cooldown: float = 30.0, clock=time.monotonic):
         self.cooldown = cooldown
         self._clock = clock
         self.state = self.OK
-        #: consecutive transient batch failures since the last success
-        self.consecutive = 0
-        #: lifetime supervised restarts / breaker trips
-        self.restarts = 0
-        self.trips = 0
         self._opened_at = 0.0
 
-    # -- classification --------------------------------------------------
     @staticmethod
-    def batch_transient(entries: List[Entry],
-                        outcome: Dict[str, Tuple[object, str]]) -> bool:
+    def batch_dead(entries: List[Entry],
+                   outcome: Dict[str, Tuple[object, str]]) -> bool:
         """True when *every* job in the batch died in a transient phase.
 
         One bad job among good ones is a job problem (reported to its
         client); a whole batch of timeouts/pool breakage is an executor
-        problem — the supervisor's signal.
+        problem — the breaker's signal.
         """
-        if not entries:
+        results = [outcome.get(e.key, (None, ""))[0] for e in entries]
+        return bool(results) and all(
+            isinstance(r, FailedResult) and r.phase in TRANSIENT_PHASES
+            for r in results)
+
+    def note_batch(self, entries: List[Entry],
+                   outcome: Dict[str, Tuple[object, str]]) -> bool:
+        """Record one batch's outcome; True when it opened the breaker."""
+        if not self.batch_dead(entries, outcome):
+            self.state = self.OK
             return False
-        for entry in entries:
-            result, _ = outcome.get(entry.key, (None, "failed"))
-            if not (isinstance(result, FailedResult)
-                    and result.phase in TRANSIENT_PHASES):
-                return False
+        self.state = self.OPEN
+        self._opened_at = self._clock()
         return True
-
-    # -- transitions -----------------------------------------------------
-    def note_ok(self) -> None:
-        """A batch produced a non-transient outcome: close the breaker."""
-        self.state = self.OK
-        self.consecutive = 0
-
-    def note_transient(self) -> bool:
-        """Record one dead batch; True when a supervised retry may run."""
-        self.consecutive += 1
-        if self.consecutive > self.max_restarts:
-            self.state = self.OPEN
-            self._opened_at = self._clock()
-            self.trips += 1
-            return False
-        self.state = self.RESTARTING
-        self.restarts += 1
-        return True
-
-    def backoff(self) -> float:
-        """Capped exponential delay before the next supervised retry."""
-        return min(self.backoff_cap,
-                   self.backoff_base * (2 ** max(0, self.consecutive - 1)))
-
-    # -- admission gate --------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        return self.state != self.OK
 
     def allows(self) -> bool:
         """May a new submission enter?  Not while the breaker is open
@@ -141,10 +106,6 @@ class PoolSupervisor:
         left."""
         remaining = self.cooldown - (self._clock() - self._opened_at)
         return min(self.cooldown, max(0.5, remaining))
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"state": self.state, "consecutive": self.consecutive,
-                "restarts": self.restarts, "trips": self.trips}
 
 
 class SimExecutor:
@@ -166,11 +127,9 @@ class SimExecutor:
         self.cache = ResultCache() if cache is None else cache
         self.jobs = jobs
         self.timeout = timeout
-        self.retries = retries
+        self.retries = default_retries(SERVE_RETRIES) if retries is None \
+            else retries
         self._runners: Dict[Tuple[float, int], ParallelRunner] = {}
-        #: tallies carried over from runners discarded by restart_pool
-        self._retired = {"sims_run": 0, "disk_hits": 0, "memo_hits": 0,
-                         "derived": 0, "pool_restarts": 0}
 
     # -- runners ---------------------------------------------------------
     def runner_for(self, scale: float, seed: int) -> ParallelRunner:
@@ -225,33 +184,12 @@ class SimExecutor:
             runner.failures.clear()
         return outcome
 
-    def restart_pool(self) -> None:
-        """Discard every warm runner (supervised-restart path).
-
-        Runner state is rebuilt lazily on the next batch: fresh result
-        memos, fresh pool.  The shared disk cache persists — completed
-        results survive the restart — and the discarded runners'
-        accounting tallies are retired into :meth:`totals` so the
-        metrics never go backwards.
-        """
-        for runner in self._runners.values():
-            self._retired["sims_run"] += runner.sims_run
-            self._retired["disk_hits"] += runner.disk_hits
-            self._retired["memo_hits"] += runner.memo_hits
-            self._retired["derived"] += runner.derived
-            self._retired["pool_restarts"] += runner.pool_restarts
-        self._runners.clear()
-
     # -- accounting ------------------------------------------------------
     def totals(self) -> Dict[str, int]:
-        t = dict(self._retired)
-        for runner in self._runners.values():
-            t["sims_run"] += runner.sims_run
-            t["disk_hits"] += runner.disk_hits
-            t["memo_hits"] += runner.memo_hits
-            t["derived"] += runner.derived
-            t["pool_restarts"] += runner.pool_restarts
-        return t
+        runners = self._runners.values()
+        return {name: sum(getattr(r, name) for r in runners)
+                for name in ("sims_run", "disk_hits", "memo_hits",
+                             "derived")}
 
     def flush_cache(self) -> None:
         self.cache.flush_counters()
@@ -262,14 +200,13 @@ class Dispatcher:
 
     def __init__(self, queue: ServeQueue, executor: SimExecutor,
                  metrics: ServerMetrics, batch_max: int = 32,
-                 supervisor: Optional[PoolSupervisor] = None,
+                 breaker: Optional[CircuitBreaker] = None,
                  journal: Optional[JobJournal] = None):
         self.queue = queue
         self.executor = executor
         self.metrics = metrics
         self.batch_max = max(1, batch_max)
-        self.supervisor = PoolSupervisor() if supervisor is None \
-            else supervisor
+        self.breaker = CircuitBreaker() if breaker is None else breaker
         self.journal = journal
         self._wake = asyncio.Event()
         self._stopping = False
@@ -304,44 +241,21 @@ class Dispatcher:
                     t.started_at = t.started_at or now
             if self.journal is not None:
                 self.journal.note_started([e.key for e in entries])
-            outcome = await self._execute_supervised(entries)
-            self._finish(entries, outcome)
-            self.executor.flush_cache()
-
-    async def _execute_supervised(
-            self, entries: List[Entry]) -> Dict[str, Tuple[object, str]]:
-        """Execute one batch under the supervisor's restart policy.
-
-        A batch whose every job died transiently (or whose execute call
-        itself raised) is retried on freshly built runners with capped
-        exponential backoff; once the supervisor trips the breaker (or
-        a drain begins) the last failed outcome stands and its error
-        envelopes go back to the clients.
-        """
-        while True:
             try:
-                outcome = await asyncio.to_thread(
-                    self.executor.execute, entries)
+                outcome = await asyncio.to_thread(self.executor.execute,
+                                                  entries)
             except Exception:
-                # Executor death of the second kind: the engine itself
-                # raised (runners run keep_going, so per-job failures
-                # never land here).  Classify as a transient pool
-                # failure and let the supervisor decide.
+                # The engine itself raised (runners run keep_going, so
+                # per-job failures never land here): executor death, so
+                # every job fails in phase "pool" and the batch is dead.
                 err = traceback.format_exc()
                 outcome = {e.key: (FailedResult(
                     e.spec.kernel, e.spec.scale, e.spec.seed, error=err,
                     phase="pool"), "failed") for e in entries}
-            if not self.supervisor.batch_transient(entries, outcome):
-                self.supervisor.note_ok()
-                return outcome
-            if not self.supervisor.note_transient():
+            if self.breaker.note_batch(entries, outcome):
                 self.metrics.inc("circuit_trips")
-                return outcome
-            self.metrics.inc("pool_restarts")
-            self.executor.restart_pool()
-            if self._stopping:
-                return outcome
-            await asyncio.sleep(self.supervisor.backoff())
+            self._finish(entries, outcome)
+            self.executor.flush_cache()
 
     def _finish(self, entries: List[Entry],
                 outcome: Dict[str, Tuple[object, str]]) -> None:

@@ -3,7 +3,7 @@
 ``repro serve`` runs one :class:`ServeServer`: an ``asyncio.start_server``
 listener speaking the minimal HTTP/JSON dialect of ``protocol.py``, one
 :class:`~.queue.ServeQueue`, one :class:`~.scheduler.Dispatcher` and the
-persistent :class:`~.scheduler.SimExecutor` (warm runners + disk cache).
+long-lived :class:`~.scheduler.SimExecutor` (warm runners + disk cache).
 
 Connections are one-request (``Connection: close``) — clients poll, the
 daemon stays simple, and there is no connection state to drain.
@@ -46,7 +46,7 @@ from .journal import JobJournal, JournalReplay
 from .metrics import ServerMetrics
 from .protocol import ErrorInfo, ProtocolError
 from .queue import ServeQueue, Ticket
-from .scheduler import Dispatcher, PoolSupervisor, SimExecutor
+from .scheduler import CircuitBreaker, Dispatcher, SimExecutor
 
 #: largest accepted request body (a 12-kernel suite submit is ~20 KiB)
 MAX_BODY = 16 * 1024 * 1024
@@ -81,7 +81,7 @@ class ServeServer:
                  batch_max: int = 32,
                  grace: float = 0.25,
                  journal: Optional[object] = None,
-                 supervisor: Optional[PoolSupervisor] = None):
+                 breaker: Optional[CircuitBreaker] = None):
         self.host = host
         self.port = port
         self.queue = ServeQueue()
@@ -95,11 +95,10 @@ class ServeServer:
         if isinstance(journal, str):
             journal = JobJournal(journal)
         self.journal: Optional[JobJournal] = journal
-        self.supervisor = PoolSupervisor() if supervisor is None \
-            else supervisor
+        self.breaker = CircuitBreaker() if breaker is None else breaker
         self.dispatcher = Dispatcher(self.queue, self.executor,
                                      self.metrics, batch_max=batch_max,
-                                     supervisor=self.supervisor,
+                                     breaker=self.breaker,
                                      journal=self.journal)
         self.grace = grace
         self.draining = False
@@ -121,8 +120,8 @@ class ServeServer:
             return "draining"
         if self.replaying:
             return "replaying-journal"
-        if self.supervisor.degraded:
-            return f"degraded:{self.supervisor.state}"
+        if self.breaker.state != CircuitBreaker.OK:
+            return f"degraded:{self.breaker.state}"
         return "ok"
 
     def _journal_info(self) -> Optional[Dict[str, int]]:
@@ -365,8 +364,7 @@ class ServeServer:
             payload = protocol.ok_envelope(**self.metrics.snapshot(
                 self.queue.snapshot(), self.executor.totals(),
                 state, self.executor.jobs,
-                journal=self._journal_info(),
-                supervisor=self.supervisor.snapshot()))
+                journal=self._journal_info()))
             # Anything but plain "ok" answers 503 so load balancers and
             # ops probes can gate on the HTTP code alone; the JSON body
             # still says exactly which non-ok state it is.
@@ -421,12 +419,12 @@ class ServeServer:
             # submissions bypass both admission checks.
             self.metrics.inc("jobs_coalesced")
             self.executor.cache.note_coalesced()
-        elif not self.supervisor.allows():
-            retry = self.supervisor.retry_after()
+        elif not self.breaker.allows():
+            retry = self.breaker.retry_after()
             self.metrics.inc("jobs_rejected_degraded")
             return _refused(ErrorInfo(
                 kind="degraded",
-                message=f"executor degraded ({self.supervisor.state}); "
+                message=f"executor degraded ({self.breaker.state}); "
                         f"retry in {retry:.1f}s",
                 retry_after=retry))
         elif self.queue.depth >= self.queue_depth:

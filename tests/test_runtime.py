@@ -260,6 +260,29 @@ class TestResilience:
         out = execute_jobs_observed(jobs, 2, timeout=1.5, retries=1)
         assert all(st.committed > 0 for st, _ in out)   # recovered
 
+    def test_pool_broken_during_submit_is_retried(self, monkeypatch):
+        # A worker that dies while the pass is still submitting breaks
+        # the pool under submit() itself; the unsubmitted jobs are
+        # transient, not an exception out of the retry loop.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        real_submit = ProcessPoolExecutor.submit
+        calls = {"n": 0}
+
+        def submit(pool, *args, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise BrokenProcessPool("a worker died mid-submit")
+            return real_submit(pool, *args, **kw)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        before = parallel_mod.pool_restart_count()
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("mcf", SCALE, SEED, wb(1, 256))]
+        out = execute_jobs_observed(jobs, 2, retries=1)
+        assert all(st.committed > 0 for st, _ in out)   # recovered
+        assert parallel_mod.pool_restart_count() - before == 1
+
     def test_permanent_failures_are_not_retried(self):
         # One pass only: a worker traceback is deterministic.
         jobs = [RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256))]

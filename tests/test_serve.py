@@ -9,18 +9,21 @@ production, minus the subprocess.
 import asyncio
 import http.client
 import json
+import os
 import threading
 
 import pytest
 
 from repro import run_kernel
-from repro.runtime import ResultCache, RunSpec
+from repro.runtime import FailedResult, ResultCache, RunSpec
+from repro.runtime import parallel as parallel_mod
 from repro.serve import protocol
 from repro.serve.client import (RemoteRunner, ServeClient, ServeError,
                                 parse_address)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ProtocolError
 from repro.serve.queue import ServeQueue, Ticket
+from repro.serve.scheduler import CircuitBreaker, SimExecutor
 from repro.serve.server import ServeServer
 from repro.uarch import SimStats
 from repro.uarch.config import ProcessorConfig, ci
@@ -602,31 +605,26 @@ class TestCrashRecovery:
             assert "# line 1" in fh.read()
 
     def test_healthz_codes_follow_server_state(self, tmp_path):
-        from repro.serve.scheduler import PoolSupervisor
-
         server = _serve_fixture(tmp_path)
 
         def drive(client):
             status, env = client._request("GET", "/healthz")
             assert status == 200 and env["status"] == "ok"
-            server.supervisor.state = PoolSupervisor.OPEN
-            server.supervisor._opened_at = server.supervisor._clock()
+            server.breaker.note_batch(*_dead_batch())
             status, env = client._request("GET", "/healthz")
             assert status == 503
             assert env["status"] == "degraded:circuit-open"
-            server.supervisor.state = PoolSupervisor.OK
+            server.breaker.state = CircuitBreaker.OK
             return True
 
         assert _drive(server, drive)
 
     def test_open_breaker_refuses_new_work_until_cooldown(self, tmp_path):
         from repro.serve.protocol import ErrorInfo
-        from repro.serve.scheduler import PoolSupervisor
 
         clock = {"now": 0.0}
-        sup = PoolSupervisor(max_restarts=1, cooldown=10.0,
-                             clock=lambda: clock["now"])
-        server = _serve_fixture(tmp_path, supervisor=sup)
+        breaker = CircuitBreaker(cooldown=10.0, clock=lambda: clock["now"])
+        server = _serve_fixture(tmp_path, breaker=breaker)
         gzip = RunSpec("gzip", SCALE, SEED)
         mcf = RunSpec("mcf", SCALE, SEED)
 
@@ -641,9 +639,8 @@ class TestCrashRecovery:
 
             [queued] = await submit(gzip)
             assert queued["accepted"]
-            while sup.note_transient():          # trip the breaker
-                pass
-            assert sup.state == PoolSupervisor.OPEN
+            assert breaker.note_batch(*_dead_batch())   # trip it
+            assert breaker.state == CircuitBreaker.OPEN
 
             [refused] = await submit(mcf)
             assert not refused["accepted"]
@@ -669,7 +666,7 @@ class TestCrashRecovery:
 
         outcomes = asyncio.run(main())
         assert [st.state for st, _ in outcomes] == [protocol.DONE] * 2
-        assert sup.state == PoolSupervisor.OK
+        assert breaker.state == CircuitBreaker.OK
         assert server.metrics.counters["jobs_rejected_degraded"] == 1
         assert server.executor.totals()["sims_run"] == 2
 
@@ -745,56 +742,119 @@ class TestCrashRecovery:
         assert server.executor.totals()["sims_run"] == 1
 
 
-class TestPoolSupervisor:
-    def _sup(self, **kw):
-        from repro.serve.scheduler import PoolSupervisor
-        clock = {"now": 0.0}
-        sup = PoolSupervisor(clock=lambda: clock["now"], **kw)
-        return sup, clock
+class _Entry:
+    def __init__(self, key):
+        self.key = key
 
+
+def _failed(phase):
+    return FailedResult("gzip", SCALE, SEED, "x", phase=phase)
+
+
+def _dead_batch():
+    """A batch whose every job ended in a transient phase."""
+    return ([_Entry("a"), _Entry("b")],
+            {"a": (_failed("timeout"), "failed"),
+             "b": (_failed("pool"), "failed")})
+
+
+class TestCircuitBreaker:
     def test_breaker_lifecycle(self):
-        from repro.serve.scheduler import PoolSupervisor
-        sup, clock = self._sup(max_restarts=2, cooldown=10.0)
-        assert sup.note_transient() is True
-        assert sup.state == PoolSupervisor.RESTARTING
-        assert sup.note_transient() is True
-        assert sup.restarts == 2
-        assert sup.note_transient() is False      # third strike trips
-        assert sup.state == PoolSupervisor.OPEN
-        assert sup.trips == 1
-        assert not sup.allows()
-        assert 0.5 <= sup.retry_after() <= 10.0
+        clock = {"now": 0.0}
+        breaker = CircuitBreaker(cooldown=10.0, clock=lambda: clock["now"])
+        entries, dead = _dead_batch()
+        assert breaker.allows()
+        assert breaker.note_batch(entries, dead)   # one dead batch trips
+        assert breaker.state == CircuitBreaker.OPEN
+        assert not breaker.allows()
+        assert 0.5 <= breaker.retry_after() <= 10.0
         clock["now"] = 10.5                        # cooldown elapsed
-        assert sup.allows()                        # half-open
-        sup.note_ok()
-        assert sup.state == PoolSupervisor.OK
-        assert sup.consecutive == 0
+        assert breaker.allows()                    # half-open
+        assert breaker.state == CircuitBreaker.OPEN
+        healthy = {"a": (_failed("timeout"), "failed"),
+                   "b": (_failed("worker"), "failed")}
+        assert not breaker.note_batch(entries, healthy)
+        assert breaker.state == CircuitBreaker.OK
 
-    def test_backoff_is_capped_exponential(self):
-        sup, _ = self._sup(max_restarts=10, backoff_base=0.5,
-                           backoff_cap=2.0)
-        delays = []
-        for _ in range(4):
-            sup.note_transient()
-            delays.append(sup.backoff())
-        assert delays == [0.5, 1.0, 2.0, 2.0]
+    def test_batch_dead_classification(self):
+        entries, dead = _dead_batch()
+        assert CircuitBreaker.batch_dead(entries, dead)
+        mixed = {"a": (_failed("timeout"), "failed"),
+                 "b": (_failed("worker"), "failed")}
+        assert not CircuitBreaker.batch_dead(entries, mixed)
+        assert not CircuitBreaker.batch_dead([], {})
 
-    def test_batch_transient_classification(self):
-        from repro.runtime.parallel import FailedResult
-        from repro.serve.scheduler import PoolSupervisor
 
-        class E:
-            def __init__(self, key):
-                self.key = key
+# -- the runtime's retry loop is the daemon's only one ----------------------
 
-        def failed(phase):
-            return FailedResult("gzip", SCALE, SEED, "x", phase=phase)
+_real_run_job = parallel_mod._run_job
 
-        entries = [E("a"), E("b")]
-        all_timeout = {"a": (failed("timeout"), "failed"),
-                       "b": (failed("pool"), "failed")}
-        assert PoolSupervisor.batch_transient(entries, all_timeout)
-        mixed = {"a": (failed("timeout"), "failed"),
-                 "b": (failed("worker"), "failed")}
-        assert not PoolSupervisor.batch_transient(entries, mixed)
-        assert not PoolSupervisor.batch_transient([], {})
+
+def _die_in_pool(job):
+    """Kills its pool worker until the pool-rebuild count reaches
+    ``_REPRO_TEST_LIVE_FROM``.  A forked worker inherits the count of
+    its pass, so this kills every worker of the first passes; jobs run
+    in-process (the parent) are never killed."""
+    if (os.getpid() != int(os.environ["_REPRO_TEST_PARENT"])
+            and parallel_mod.pool_restart_count()
+            < int(os.environ["_REPRO_TEST_LIVE_FROM"])):
+        os._exit(1)
+    return _real_run_job(job)
+
+
+class TestRuntimeRetries:
+    KERNELS = ("gzip", "mcf", "vpr")
+
+    def _kill_pools(self, monkeypatch, passes):
+        monkeypatch.setenv("_REPRO_TEST_PARENT", str(os.getpid()))
+        monkeypatch.setenv("_REPRO_TEST_LIVE_FROM",
+                           str(parallel_mod.pool_restart_count() + passes))
+        monkeypatch.setattr(parallel_mod, "_run_job", _die_in_pool)
+
+    def _server(self, tmp_path, **kw):
+        # Two jobs: a one-job runner takes the serial path, no pool.
+        cache = ResultCache(root=str(tmp_path / "srvcache"), enabled=True)
+        return ServeServer(port=0, cache=cache, jobs=2, **kw)
+
+    def test_worker_deaths_absorbed_by_runtime_counted_once(
+            self, tmp_path, monkeypatch):
+        self._kill_pools(monkeypatch, passes=2)
+        before = parallel_mod.pool_restart_count()
+        server = self._server(tmp_path)
+        specs = [RunSpec(k, SCALE, SEED) for k in self.KERNELS]
+
+        outcomes = _drive(server, lambda client: client.run(specs))
+        assert [st.state for st, _ in outcomes] \
+            == [protocol.DONE] * len(specs)
+        assert server.breaker.state == CircuitBreaker.OK
+        assert server.metrics.counters["circuit_trips"] == 0
+        assert parallel_mod.pool_restart_count() - before == 2
+        assert server.executor.totals()["sims_run"] == len(specs)
+
+    def test_exhausted_budget_fails_jobs_and_opens_breaker(
+            self, tmp_path, monkeypatch):
+        self._kill_pools(monkeypatch, passes=1000)
+        server = self._server(tmp_path, retries=1)
+        specs = [RunSpec(k, SCALE, SEED) for k in self.KERNELS]
+
+        def drive(client):
+            outcomes = client.run(specs)
+            return outcomes, client._request("GET", "/healthz")
+
+        outcomes, (code, health) = _drive(server, drive)
+        for status, stats in outcomes:
+            assert status.state == protocol.FAILED and stats is None
+            assert status.error.kind == "failed"
+            assert status.error.phase == "pool"
+            assert status.error.attempts == 2
+        assert code == 503
+        assert health["status"] == "degraded:circuit-open"
+        assert server.metrics.counters["circuit_trips"] == 1
+
+    def test_default_retry_budget(self, tmp_path, monkeypatch):
+        cache = ResultCache(root=str(tmp_path / "c"), enabled=True)
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert SimExecutor(cache=cache).retries == 7
+        monkeypatch.setenv("REPRO_RETRIES", "2")
+        assert SimExecutor(cache=cache).retries == 2
+        assert SimExecutor(cache=cache, retries=0).retries == 0
