@@ -20,7 +20,7 @@ import pytest
 
 os.environ.setdefault("REPRO_SCALE", "0.35")
 
-from repro.experiments import Runner  # noqa: E402  (after env setup)
+from repro.experiments import default_runner  # noqa: E402  (after env)
 
 #: the shared session runner, exposed so the JSON emitter can report its
 #: cache counters alongside the timings (None until the fixture runs)
@@ -30,7 +30,7 @@ _session_runner = None
 @pytest.fixture(scope="session")
 def runner():
     global _session_runner
-    _session_runner = Runner()
+    _session_runner = default_runner()
     return _session_runner
 
 

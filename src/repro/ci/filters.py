@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class HardBranchFilter:
     """Base filter: classifies branches; trains on every retired branch."""
 
-    #: registry key (informational; shown by ``repro policies --verbose``)
+    #: registry key (informational; shown by ``repro list --verbose``)
     kind = "base"
 
     def attach(self, pipeline: "MechanismPipeline") -> None:

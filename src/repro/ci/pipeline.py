@@ -14,7 +14,7 @@ by a :class:`~repro.ci.registry.PolicySpec` from the policy registry; it
 implements the core's typed hook surface
 (:class:`~repro.uarch.hooks.MechanismHooks`) by delegating each hook to
 whichever components the policy installed.  Policies are therefore data:
-``repro policies`` lists them, and a new ablation is a new registry
+``repro list`` lists them, and a new ablation is a new registry
 entry, not new engine code.
 """
 

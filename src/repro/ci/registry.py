@@ -22,7 +22,7 @@ policy                    assembly
 ========================  =================================================
 
 New policies register with :func:`register_policy`; the CLI resolves
-``--policy`` names here (``repro policies`` lists the table), and the
+``--policy`` names here (``repro list`` lists the table), and the
 process-pool runtime ships the policy *name* across workers — specs are
 resolved locally on each side, so custom components stay picklable-free.
 """

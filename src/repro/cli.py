@@ -4,12 +4,11 @@ Commands
 ========
 
 ``run``      simulate one kernel (or an assembly file) under a named scheme
-``kernels``  list the workload registry (suite kernel names)
-``policies`` list the mechanism policy registry (``--policy`` values)
 ``suite``    run all 12 kernels under one scheme and print the table
 ``figure``   regenerate one of the paper's figures (fig04 ... fig14, intext)
 ``ablation`` run one of the design-choice ablations
-``list``     list kernels, figures and ablations
+``list``     list the kernel and policy registries, figures, ablations and
+             schemes (``-v`` adds kernel traits and policy components)
 ``trace``    trace-driven profile of a kernel (branches, strides, reconv.)
 ``faults``   fault-injection sweep: seeded mechanism faults across the
              suite, each run held to the invariant checker + state oracle
@@ -83,7 +82,7 @@ def make_config(args: argparse.Namespace) -> ProcessorConfig:
             raise SystemExit(f"unknown scheme {scheme!r}")
     except ValueError as exc:  # unknown --policy: registry suggests fixes
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: 'repro policies' lists the registered policies",
+        print("hint: 'repro list' lists the registered policies",
               file=sys.stderr)
         raise SystemExit(2) from None
     if args.spec_mem:
@@ -96,7 +95,7 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
                    help="machine configuration (default: ci)")
     p.add_argument("--policy", default=None, metavar="NAME",
                    help="mechanism policy from the registry (overrides "
-                        "--scheme; see 'repro policies')")
+                        "--scheme; see 'repro list')")
     p.add_argument("--regs", default="512",
                    help="physical registers (int or 'inf')")
     p.add_argument("--ports", type=int, default=1, help="L1 data ports")
@@ -140,8 +139,10 @@ def _add_sample_arg(p: argparse.ArgumentParser) -> None:
                         "IPC values are then estimates marked with '~'")
 
 
-def _make_runner(args: argparse.Namespace, scale=None, seed=None):
+def _make_runner(args: argparse.Namespace, scale: float, seed=None):
     """The sweep runner: local pool, or a thin client of ``--server``."""
+    from .experiments.common import EXPERIMENT_SEED
+    seed = EXPERIMENT_SEED if seed is None else seed
     sampling = getattr(args, "sample", None)
     if getattr(args, "server", None):
         from .serve.client import RemoteRunner
@@ -150,10 +151,10 @@ def _make_runner(args: argparse.Namespace, scale=None, seed=None):
                             on_event=lambda m: print(
                                 f"repro: {m}", file=sys.stderr),
                             sampling=sampling)
-    from .experiments.common import Runner
-    return Runner(scale=scale, seed=seed, jobs=args.jobs,
-                  keep_going=args.keep_going, timeout=args.timeout,
-                  retries=args.retries, sampling=sampling)
+    from .runtime import ParallelRunner
+    return ParallelRunner(scale=scale, seed=seed, jobs=args.jobs,
+                          keep_going=args.keep_going, timeout=args.timeout,
+                          retries=args.retries, sampling=sampling)
 
 
 def _sweep_scale(args: argparse.Namespace) -> float:
@@ -373,7 +374,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .runtime import CACHE_SCHEMA, ResultCache
+    from .runtime import CACHE_SCHEMA, SOURCES, ResultCache
     from .sampling import CheckpointStore
     cache = ResultCache()
     store = CheckpointStore()
@@ -385,9 +386,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"entries    : {info['entries']}")
         print(f"size       : {info['bytes'] / 1024:.1f} KiB")
         print(f"quarantined: {info['quarantined']}")
-        print(f"hits       : {info['hits']}")
-        print(f"misses     : {info['misses']}")
-        print(f"coalesced  : {info['coalesced']}")
+        for name in SOURCES:     # the runners' lifetime source record
+            print(f"{name:11s}: {info['counters'].get(name, 0)}")
         cinfo = store.info()
         print(f"checkpoints: {cinfo['entries']} entr"
               f"{'y' if cinfo['entries'] == 1 else 'ies'}, "
@@ -565,49 +565,33 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    from .ci import policy_names
+    from .ci import all_policies
     from .experiments import ALL_ABLATIONS, ALL_EXPERIMENTS
     from .workloads import all_workloads
-    print("kernels:")
+    print("kernels (run/suite/submit KERNEL values):")
     for spec in all_workloads():
-        print(f"  {spec.name:9s} {spec.description} [{spec.traits}]")
+        scales = "/".join(f"{s:g}" for s in spec.default_scales)
+        print(f"  {spec.name:9s} {spec.category:8s} scales {scales}  "
+              f"{spec.description}")
+        if args.verbose:
+            print(f"  {'':9s} traits: {spec.traits}")
+    print("policies (--policy values):")
+    for policy in all_policies():
+        print(f"  {policy.name:16s} {policy.description}")
+        if args.verbose:
+            parts = [f"filter={policy.filter}"]
+            if policy.tracker:
+                parts.append(f"tracker={policy.tracker}")
+            if policy.selector:
+                parts.append(f"selector={policy.selector}")
+            if policy.replicas:
+                parts.append(f"replicas={policy.replicas}")
+            if policy.squash_reuse:
+                parts.append("squash_reuse")
+            print(f"  {'':16s} components: {', '.join(parts)}")
     print("figures:", ", ".join(ALL_EXPERIMENTS))
     print("ablations:", ", ".join(sorted(ALL_ABLATIONS)))
     print("schemes:", ", ".join(SCHEMES))
-    print("policies:", ", ".join(policy_names()))
-    return 0
-
-
-def cmd_kernels(args: argparse.Namespace) -> int:
-    from .workloads import all_workloads
-    print("registered suite kernels (run/suite/submit KERNEL values):")
-    print()
-    for spec in all_workloads():
-        scales = "/".join(f"{s:g}" for s in spec.default_scales)
-        print(f"  {spec.name:9s} {spec.category:8s} scales {scales}")
-        if args.verbose:
-            print(f"  {'':9s} {spec.description}")
-            print(f"  {'':9s} traits: {spec.traits}")
-    return 0
-
-
-def cmd_policies(args: argparse.Namespace) -> int:
-    from .ci import all_policies
-    print("registered mechanism policies (use with --policy):")
-    print()
-    for spec in all_policies():
-        print(f"  {spec.name:16s} {spec.description}")
-        if args.verbose:
-            parts = [f"filter={spec.filter}"]
-            if spec.tracker:
-                parts.append(f"tracker={spec.tracker}")
-            if spec.selector:
-                parts.append(f"selector={spec.selector}")
-            if spec.replicas:
-                parts.append(f"replicas={spec.replicas}")
-            if spec.squash_reuse:
-                parts.append("squash_reuse")
-            print(f"  {'':16s} components: {', '.join(parts)}")
     return 0
 
 
@@ -703,20 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(pa)
     pa.set_defaults(fn=cmd_ablation, default_scale=0.35)
 
-    pl = sub.add_parser("list", help="list kernels/figures/ablations")
+    pl = sub.add_parser("list", help="list kernels, policies, figures, "
+                                     "ablations and schemes")
+    pl.add_argument("--verbose", "-v", action="store_true",
+                    help="also show kernel traits and each policy's "
+                         "component assembly")
     pl.set_defaults(fn=cmd_list)
-
-    pk = sub.add_parser("kernels",
-                        help="list the registered suite kernels")
-    pk.add_argument("--verbose", "-v", action="store_true",
-                    help="also show each kernel's description and traits")
-    pk.set_defaults(fn=cmd_kernels)
-
-    pp2 = sub.add_parser("policies",
-                         help="list registered mechanism policies")
-    pp2.add_argument("--verbose", "-v", action="store_true",
-                     help="also show each policy's component assembly")
-    pp2.set_defaults(fn=cmd_policies)
 
     pt = sub.add_parser("trace", help="trace-driven kernel profile")
     pt.add_argument("kernel")
@@ -845,7 +821,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except UnknownWorkloadError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: 'repro kernels' lists the registered kernels",
+        print("hint: 'repro list' lists the registered kernels",
               file=sys.stderr)
         return 2
     except WorkerError as exc:

@@ -13,13 +13,13 @@ from __future__ import annotations
 from types import ModuleType
 from typing import Callable, Dict, List, Optional
 
+from ..runtime import ParallelRunner
 from . import ablations, fig04, fig05, fig08, fig09, fig10, fig11, fig12, fig13, fig14, intext
 from .common import (
     Check,
     EXPERIMENT_SCALE,
     Figure,
     REG_POINTS,
-    Runner,
     default_runner,
     reg_label,
 )
@@ -48,7 +48,7 @@ ALL_EXPERIMENTS: Dict[str, Callable[..., Figure]] = {
 ALL_ABLATIONS = ablations.ALL_ABLATIONS
 
 
-def run_all(runner: Optional[Runner] = None) -> Dict[str, Figure]:
+def run_all(runner: Optional[ParallelRunner] = None) -> Dict[str, Figure]:
     """Every experiment, its sweeps resolved as one batch."""
     runner = runner or default_runner()
     results = run_sweeps(runner, [m.SWEEP for m in EXPERIMENTS.values()])
@@ -56,7 +56,7 @@ def run_all(runner: Optional[Runner] = None) -> Dict[str, Figure]:
             for (key, module), result in zip(EXPERIMENTS.items(), results)}
 
 
-def generate_report(runner: Optional[Runner] = None) -> str:
+def generate_report(runner: Optional[ParallelRunner] = None) -> str:
     figures = run_all(runner)
     parts: List[str] = []
     for fig in figures.values():
@@ -76,7 +76,7 @@ __all__ = [
     "EXPERIMENT_SCALE",
     "Figure",
     "REG_POINTS",
-    "Runner",
+    "ParallelRunner",
     "SweepResult",
     "SweepSpec",
     "default_runner",

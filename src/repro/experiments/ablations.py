@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import ci, wb
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepSpec, run_sweep
 
 BASE = ci(ports=1, regs=512)
@@ -71,7 +72,7 @@ SWEEP_POLICIES = SweepSpec("abl-policies", tuple(
     (name, replace(BASE, ci_policy=name)) for name in POLICY_NAMES))
 
 
-def abl_refinements(runner: Optional[Runner] = None) -> Figure:
+def abl_refinements(runner: Optional[ParallelRunner] = None) -> Figure:
     """Turn off each refinement beyond the paper's sketch, one at a time."""
     runner = runner or default_runner()
     result = run_sweep(runner, SWEEP_REFINEMENTS)
@@ -102,7 +103,7 @@ def abl_refinements(runner: Optional[Runner] = None) -> Figure:
                    "coherence squashes"], rows, checks=checks)
 
 
-def abl_mbs(runner: Optional[Runner] = None) -> Figure:
+def abl_mbs(runner: Optional[ParallelRunner] = None) -> Figure:
     """The MBS filter: without it, every misprediction arms the CRP."""
     runner = runner or default_runner()
     result = run_sweep(runner, SWEEP_MBS)
@@ -126,7 +127,7 @@ def abl_mbs(runner: Optional[Runner] = None) -> Figure:
                   rows, checks=checks)
 
 
-def abl_select_window(runner: Optional[Runner] = None) -> Figure:
+def abl_select_window(runner: Optional[ParallelRunner] = None) -> Figure:
     """How far past the re-convergent point selection scans."""
     runner = runner or default_runner()
     result = run_sweep(runner, SWEEP_SELECT_WINDOW)
@@ -150,7 +151,7 @@ def abl_select_window(runner: Optional[Runner] = None) -> Figure:
                   checks=checks)
 
 
-def abl_headroom(runner: Optional[Runner] = None) -> Figure:
+def abl_headroom(runner: Optional[ParallelRunner] = None) -> Figure:
     """Low-priority register allocation for replicas, at a tight RF.
 
     The knob's job is throttling: with more headroom the mechanism backs
@@ -187,7 +188,7 @@ def abl_headroom(runner: Optional[Runner] = None) -> Figure:
                   checks=checks)
 
 
-def abl_bpred(runner: Optional[Runner] = None) -> Figure:
+def abl_bpred(runner: Optional[ParallelRunner] = None) -> Figure:
     """Mechanism benefit as a function of branch-predictor quality."""
     runner = runner or default_runner()
     result = run_sweep(runner, SWEEP_BPRED)
@@ -217,7 +218,7 @@ def abl_bpred(runner: Optional[Runner] = None) -> Figure:
                   rows, checks=checks)
 
 
-def abl_frontend(runner: Optional[Runner] = None) -> Figure:
+def abl_frontend(runner: Optional[ParallelRunner] = None) -> Figure:
     """Mechanism benefit as the front-end (refill) depth grows."""
     runner = runner or default_runner()
     result = run_sweep(runner, SWEEP_FRONTEND)
@@ -244,7 +245,7 @@ def abl_frontend(runner: Optional[Runner] = None) -> Figure:
                   checks=checks)
 
 
-def abl_policies(runner: Optional[Runner] = None) -> Figure:
+def abl_policies(runner: Optional[ParallelRunner] = None) -> Figure:
     """Oracle component swaps from the policy registry.
 
     Each variant replaces exactly one pipeline component of the paper's

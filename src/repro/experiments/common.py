@@ -10,20 +10,19 @@ persisted through the runtime layer's disk cache, so figures sharing
 configurations (e.g. the Figure 9 baselines reused by Figures 10, 13
 and 14) pay for each run once per process — and re-running a figure
 across sessions only pays for new configurations.  Suite sweeps fan out
-over the runtime's worker pool (``--jobs`` / ``REPRO_JOBS``).
+over the runtime's worker pool (``--jobs`` / ``REPRO_JOBS``); the
+runner is the runtime's own :class:`~repro.runtime.ParallelRunner`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..analysis import format_table, harmonic_mean
-from ..runtime import ParallelRunner, ResultCache, RunSpec
-from ..uarch import ProcessorConfig, SimStats
+from ..analysis import format_table
+from ..runtime import ParallelRunner
 from ..uarch.config import INF_REGS
-from ..workloads import kernel_names
 
 #: default workload scale for experiments; override with REPRO_SCALE
 EXPERIMENT_SCALE = float(os.environ.get("REPRO_SCALE", "0.5"))
@@ -80,49 +79,15 @@ class Figure:
         return all(c.passed for c in self.checks)
 
 
-class Runner(ParallelRunner):
-    """Memoising simulation runner shared across figures.
-
-    A thin experiment-harness face over the runtime layer: scale/seed
-    default from ``REPRO_SCALE``/``REPRO_SEED``, suite sweeps resolve
-    all 12 kernels as one batch (parallel across the worker pool when
-    ``jobs > 1``), and results persist in the runtime's disk cache.
-    """
-
-    def __init__(self, scale: Optional[float] = None,
-                 seed: Optional[int] = None,
-                 jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 observe: Optional[str] = None,
-                 keep_going: bool = False,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 sampling: Optional[str] = None):
-        super().__init__(
-            scale=EXPERIMENT_SCALE if scale is None else scale,
-            seed=EXPERIMENT_SEED if seed is None else seed,
-            jobs=jobs, cache=cache, observe=observe,
-            keep_going=keep_going, timeout=timeout, retries=retries,
-            sampling=sampling)
-
-    def run_suite(self, cfg: ProcessorConfig) -> Dict[str, SimStats]:
-        names = kernel_names()
-        stats = self.run_many([RunSpec(name, self.scale, self.seed, cfg)
-                               for name in names])
-        return dict(zip(names, stats))
-
-    def suite_hmean_ipc(self, cfg: ProcessorConfig) -> float:
-        return harmonic_mean(s.ipc for s in self.run_suite(cfg).values())
+_default_runner: Optional[ParallelRunner] = None
 
 
-_default_runner: Optional[Runner] = None
-
-
-def default_runner() -> Runner:
+def default_runner() -> ParallelRunner:
     """Process-wide runner so figures share cached simulations."""
     global _default_runner
     if _default_runner is None:
-        _default_runner = Runner()
+        _default_runner = ParallelRunner(scale=EXPERIMENT_SCALE,
+                                         seed=EXPERIMENT_SEED)
     return _default_runner
 
 

@@ -10,9 +10,10 @@ from dataclasses import replace
 from typing import Optional
 
 from ..analysis import harmonic_mean
+from ..runtime import ParallelRunner
 from ..uarch.config import ci
 from ..workloads import kernel_names
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SLOT_COUNTS = (1, 2, 4)
@@ -23,7 +24,7 @@ SWEEP = SweepSpec("fig04", tuple(
     for n in SLOT_COUNTS))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis import aggregate_breakdown, ci_breakdown
+from ..runtime import ParallelRunner
 from ..uarch.config import ci
 from ..workloads import kernel_names
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFG = ci(ports=1, regs=512)
@@ -21,7 +22,7 @@ CFG = ci(ports=1, regs=512)
 SWEEP = SweepSpec("fig05", (("ci", CFG),))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

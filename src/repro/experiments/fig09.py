@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import ci, scal, wb
 from .common import (
     Check,
     Figure,
     REG_POINTS,
-    Runner,
     default_runner,
     monotone_nondecreasing,
     reg_label,
@@ -35,7 +35,7 @@ SWEEP = SweepSpec("fig09", tuple(
     for label, make in SERIES for regs in REG_POINTS))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

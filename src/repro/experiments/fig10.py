@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis import harmonic_mean
+from ..runtime import ParallelRunner
 from ..uarch.config import ci, scal, wb
 from ..workloads import kernel_names
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CONFIGS = [
@@ -25,7 +26,7 @@ CONFIGS = [
 SWEEP = SweepSpec("fig10", tuple(CONFIGS))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import ci, scal, wb
-from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
+from .common import Check, Figure, REG_POINTS, default_runner, reg_label
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 REPLICA_COUNTS = (1, 2, 4, 8)
@@ -22,7 +23,7 @@ SWEEP = SweepSpec("fig11", tuple(
        for n in REPLICA_COUNTS for regs in REG_POINTS]))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis import commit_breakdown
+from ..runtime import ParallelRunner
 from ..uarch.config import ci
 from ..workloads import kernel_names
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFGS = {2: ci(1, 512, replicas=2), 4: ci(1, 512, replicas=4)}
@@ -25,7 +26,7 @@ SWEEP = SweepSpec("fig12", tuple(
     (f"{n}rep", cfg) for n, cfg in CFGS.items()))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

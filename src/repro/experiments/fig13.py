@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import INF_REGS, ci, scal, wb, with_spec_mem
-from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
+from .common import Check, Figure, REG_POINTS, default_runner, reg_label
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SPEC_SIZES = (128, 256, 512, 768)
@@ -24,7 +25,7 @@ SWEEP = SweepSpec("fig13", tuple(
        for size in SPEC_SIZES for regs in REG_POINTS]))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

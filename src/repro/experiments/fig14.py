@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import ci
 from ..workloads import kernel_names
-from .common import Check, Figure, REG_POINTS, Runner, default_runner, reg_label
+from .common import Check, Figure, REG_POINTS, default_runner, reg_label
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 SWEEP = SweepSpec("fig14", tuple(
@@ -21,7 +22,7 @@ SWEEP = SweepSpec("fig14", tuple(
        for policy in ("ci", "vect")]))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

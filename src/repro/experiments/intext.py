@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from ..runtime import ParallelRunner
 from ..uarch.config import INF_REGS, ci
 from ..workloads import kernel_names
-from .common import Check, Figure, Runner, default_runner
+from .common import Check, Figure, default_runner
 from .sweeps import SweepResult, SweepSpec, run_sweep
 
 CFG_INF = ci(1, INF_REGS)
@@ -28,7 +29,7 @@ SWEEP = SweepSpec("intext", (
 ))
 
 
-def compute(runner: Optional[Runner] = None) -> Figure:
+def compute(runner: Optional[ParallelRunner] = None) -> Figure:
     return render(run_sweep(runner or default_runner(), SWEEP))
 
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis import harmonic_mean
-from ..runtime import RunSpec
+from ..runtime import ParallelRunner, RunSpec
 from ..uarch import ProcessorConfig, SimStats
 from ..workloads import kernel_names
-from .common import Runner
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,12 @@ class SweepResult:
         return harmonic_mean(s.ipc for s in self.stats[label].values())
 
 
-def run_sweep(runner: Runner, sweep: SweepSpec) -> SweepResult:
+def run_sweep(runner: ParallelRunner, sweep: SweepSpec) -> SweepResult:
     """Resolve a whole sweep as one order-preserving batch."""
     return run_sweeps(runner, [sweep])[0]
 
 
-def run_sweeps(runner: Runner,
+def run_sweeps(runner: ParallelRunner,
                sweeps: Sequence[SweepSpec]) -> List[SweepResult]:
     """Resolve several sweeps as ONE batch, each result from its own
     slice.

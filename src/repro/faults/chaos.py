@@ -364,7 +364,9 @@ class ChaosReport:
     kernels: List[str]
     #: events that fired, as ``kind@trigger`` strings, in firing order
     fired: List[str] = field(default_factory=list)
-    #: planned events whose trigger the sweep never reached
+    #: planned events that never took effect: the sweep ended before
+    #: their trigger, or (``kill-worker``) before any poll found a pool
+    #: worker to kill
     unapplied: List[str] = field(default_factory=list)
     #: jobs that ended without stats (kernel: state)
     failures: List[str] = field(default_factory=list)
@@ -386,11 +388,20 @@ class ChaosReport:
     metrics_lines: List[str] = field(default_factory=list)
 
     @property
+    def verdict(self) -> str:
+        """``FAIL`` when a contract broke (inconsistent journal, a
+        duplicated simulation, an unfinished job, stats that differ from
+        serial); else ``INCONCLUSIVE`` when a planned event never took
+        effect, since the drill then did not test what it planned;
+        else ``OK``."""
+        if self.violations or self.duplicate_sims or self.failures \
+                or self.mismatches:
+            return "FAIL"
+        return "INCONCLUSIVE" if self.unapplied else "OK"
+
+    @property
     def ok(self) -> bool:
-        """Every contract held: consistent journal, no duplicated
-        simulation, every job finished, stats identical to serial."""
-        return not (self.violations or self.duplicate_sims
-                    or self.failures or self.mismatches)
+        return self.verdict == "OK"
 
     def render(self) -> str:
         lines = [
@@ -399,7 +410,8 @@ class ChaosReport:
             f"{len(self.kernels) - len(self.failures)} completed, "
             f"{len(self.failures)} failed",
             f"events          : fired {', '.join(self.fired) or 'none'}"
-            f" ({len(self.unapplied)} unapplied)",
+            f" ({len(self.unapplied)} unapplied"
+            f"{': ' + ', '.join(self.unapplied) if self.unapplied else ''})",
             f"server restarts : {self.server_kills} kill(s), "
             f"{self.epochs} epoch(s) in journal",
         ]
@@ -425,7 +437,7 @@ class ChaosReport:
         if self.metrics_lines:
             lines.append(f"metrics         : "
                          f"{', '.join(self.metrics_lines)}")
-        lines.append(f"verdict         : {'OK' if self.ok else 'FAIL'}")
+        lines.append(f"verdict         : {self.verdict}")
         return "\n".join(lines)
 
 
@@ -503,7 +515,6 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
 
     specs = [RunSpec(name, scale, data_seed, cfg) for name in names]
     pending = plan.resolve(len(specs))
-    cursor = {"next": 0}
     drop_armed = {"n": 0}
 
     def chaos_drop(method: str, path: str) -> bool:
@@ -512,8 +523,18 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
             return True
         return False
 
-    def fire(spec: ChaosSpec, trigger: int) -> None:
+    def fire(spec: ChaosSpec, trigger: int) -> bool:
+        """Inject one event; False when it found nothing to act on (a
+        ``kill-worker`` between pool batches), so it re-arms."""
         label = f"{spec.kind}@{trigger}"
+        if spec.kind == "kill-worker":
+            # Pool workers exist only while a multi-job batch is in
+            # flight: kill one if it is there, else try the next poll.
+            pids = driver.worker_pids()
+            try:
+                os.kill(pids[0], signal.SIGKILL)
+            except (IndexError, OSError):
+                return False
         notify(f"chaos: firing {label}")
         if spec.kind == "kill-server":
             driver.kill()
@@ -522,22 +543,6 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
             driver.kill()
             driver.corrupt_journal_tail()
             driver.start()
-        elif spec.kind == "kill-worker":
-            # Pool workers exist only while a multi-job batch is in
-            # flight; wait a moment for one to show up.
-            pids: List[int] = []
-            for _ in range(40):
-                pids = driver.worker_pids()
-                if pids:
-                    break
-                time.sleep(0.05)
-            if pids:
-                try:
-                    os.kill(pids[0], signal.SIGKILL)
-                except OSError:
-                    label += " (worker already gone)"
-            else:
-                label += " (no worker process found)"
         elif spec.kind == "drop-conn":
             drop_armed["n"] += 1
         elif spec.kind == "slow-client":
@@ -545,13 +550,11 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
         elif spec.kind == "malformed-envelope":
             _send_malformed("127.0.0.1", driver.port)
         report.fired.append(label)
+        return True
 
     def on_poll(done: int, total: int) -> None:
-        while (cursor["next"] < len(pending)
-                and pending[cursor["next"]][0] <= done):
-            trigger, spec = pending[cursor["next"]]
-            cursor["next"] += 1
-            fire(spec, trigger)
+        pending[:] = [(trigger, spec) for trigger, spec in pending
+                      if trigger > done or not fire(spec, trigger)]
 
     # 2. The drill.
     driver.start()
@@ -572,7 +575,7 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
         driver.stop()
     report.server_kills = driver.kills
     report.unapplied = [f"{spec.kind}@{trigger}"
-                        for trigger, spec in pending[cursor["next"]:]]
+                        for trigger, spec in pending]
 
     # 3. The audit.
     replay = replay_journal(driver.journal_path, quarantine=False)

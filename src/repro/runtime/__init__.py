@@ -20,9 +20,8 @@ Three cooperating pieces (see DESIGN.md §11):
 :mod:`repro.runtime.profiling` (the cProfile harness behind ``repro
 profile``) is imported only by that command.
 
-The experiment harness's ``repro.experiments.Runner`` delegates here,
-so every figure, ablation, benchmark and CLI sweep gets the pool and
-the cache for free.
+Every figure, ablation, benchmark and CLI sweep runs on a
+``ParallelRunner``, so each gets the pool and the cache for free.
 """
 
 from .cache import (
@@ -37,6 +36,7 @@ from .cache import (
 )
 from .keys import cached_program, image_digest, run_key, stats_digest
 from .parallel import (
+    SOURCES,
     TRANSIENT_PHASES,
     FailedResult,
     ParallelRunner,
@@ -58,6 +58,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "RunSpec",
+    "SOURCES",
     "SPEC_FIELDS",
     "TRANSIENT_PHASES",
     "WorkerError",

@@ -28,11 +28,14 @@ in the envelope.  The spec is *descriptive* — it is excluded from the
 integrity checksum (older entries without it stay valid) and never
 consulted on reads; ``cache verify`` reports how many entries carry it.
 
-Accounting: each instance tallies hits, misses and (for the serving
-layer) coalesced requests in memory; :meth:`ResultCache.flush_counters`
-merges them into ``<root>/counters.json`` so ``repro cache info`` can
-report lifetime effectiveness across processes.  The counters are
-best-effort operational numbers — results never depend on them.
+Accounting: the cache keeps no tally of its own.  Each
+:class:`~repro.runtime.parallel.ParallelRunner` records where its
+results came from (memo, disk, derived, sim, failed) and merges what
+that record gained into ``<root>/counters.json``
+(:meth:`ResultCache.merge_counters`), so ``repro cache info`` reports
+the runners' record summed over every process that used this root.
+The counters are best-effort operational numbers — results never
+depend on them.
 
 Environment knobs:
 
@@ -72,12 +75,9 @@ QUARANTINE_DIR = "quarantine"
 #: them here would quarantine perfectly good checkpoints
 CHECKPOINT_SUBDIR = "checkpoints"
 
-#: file (directly under the cache root) holding the lifetime hit/miss/
-#: coalesce tallies; excluded from entry walks by name
+#: file (directly under the cache root) holding the runners' lifetime
+#: source record; excluded from entry walks by name
 COUNTERS_FILE = "counters.json"
-
-#: the counter names persisted in ``COUNTERS_FILE``
-COUNTER_KEYS = ("hits", "misses", "coalesced")
 
 
 def default_cache_dir() -> str:
@@ -133,10 +133,6 @@ class ResultCache:
         self.enabled = cache_enabled() if enabled is None else enabled
         #: entries moved aside by this instance (key paths, for reporting)
         self.quarantined: List[str] = []
-        #: in-memory tallies since the last :meth:`flush_counters`
-        self.hits = 0
-        self.misses = 0
-        self.coalesced = 0
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
@@ -166,25 +162,19 @@ class ResultCache:
             with open(path) as fh:
                 text = fh.read()
         except OSError:
-            self.misses += 1
             return None
         try:
             stats = _decode_entry(text)
         except CacheEntryError as exc:
             self._quarantine(path, str(exc))
-            self.misses += 1
             return None
         if stats is None:
-            self.misses += 1
             return None
         try:
-            result = SimStats.from_dict(stats)
+            return SimStats.from_dict(stats)
         except (ValueError, TypeError, KeyError):
             self._quarantine(path, "stats payload does not deserialise")
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def put(self, key: str, stats: SimStats,
             spec: Optional["RunSpec"] = None) -> None:
@@ -219,39 +209,33 @@ class ResultCache:
             pass  # a read-only or full cache never fails the simulation
 
     # -- accounting ------------------------------------------------------
-    def note_coalesced(self, n: int = 1) -> None:
-        """Record ``n`` coalesced requests (the serving layer's fan-in)."""
-        self.coalesced += n
-
     def _counters_path(self) -> str:
         return os.path.join(self.root, COUNTERS_FILE)
 
     def load_counters(self) -> Dict[str, int]:
-        """The persisted lifetime tallies (zeros when absent/unreadable)."""
+        """The persisted lifetime record (empty when absent/unreadable;
+        a name it lacks reads as zero)."""
         try:
             with open(self._counters_path()) as fh:
                 data = json.load(fh)
-            if isinstance(data, dict):
-                return {k: int(data.get(k, 0)) for k in COUNTER_KEYS}
-        except (OSError, ValueError, TypeError):
-            pass
-        return {k: 0 for k in COUNTER_KEYS}
+            return {k: int(v) for k, v in data.items()}
+        except (OSError, ValueError, TypeError, AttributeError):
+            return {}
 
-    def flush_counters(self) -> Dict[str, int]:
-        """Merge the in-memory tallies into ``<root>/counters.json``.
+    def merge_counters(self, delta: Dict[str, int]) -> bool:
+        """Add a runner's record ``delta`` into ``<root>/counters.json``.
 
         Best-effort operational accounting, not results: the merge is a
-        read-add-rename, so two processes flushing at the same instant
-        can drop a few increments — never corrupt the file.  Returns the
-        merged totals; a disabled cache flushes nothing.
+        read-add-rename, so two processes merging at the same instant
+        can drop a few increments — never corrupt the file.  False only
+        when the write failed (the caller keeps the delta for its next
+        merge); a disabled cache or an all-zero delta writes nothing.
         """
-        pending = {"hits": self.hits, "misses": self.misses,
-                   "coalesced": self.coalesced}
+        if not self.enabled or not any(delta.values()):
+            return True
         totals = self.load_counters()
-        for k, v in pending.items():
-            totals[k] += v
-        if not self.enabled or not any(pending.values()):
-            return totals
+        for name, n in delta.items():
+            totals[name] = totals.get(name, 0) + n
         try:
             os.makedirs(self.root, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -263,9 +247,8 @@ class ResultCache:
                 os.unlink(tmp)
                 raise
         except OSError:
-            return totals  # keep the tallies; retry on the next flush
-        self.hits = self.misses = self.coalesced = 0
-        return totals
+            return False
+        return True
 
     def _entries(self):
         for dirpath, dirnames, filenames in os.walk(self.root):
@@ -327,11 +310,8 @@ class ResultCache:
                 "bad": [{"path": p, "reason": r} for p, r in bad]}
 
     def info(self) -> Dict[str, object]:
-        """Entry count, footprint and lifetime tallies (``cache info``).
-
-        The hit/miss/coalesce numbers are the persisted totals plus any
-        tallies this instance has not flushed yet.
-        """
+        """Entry count, footprint and the lifetime source record
+        (``cache info``)."""
         entries = 0
         size = 0
         quarantined = 0
@@ -350,16 +330,13 @@ class ResultCache:
                         size += os.path.getsize(os.path.join(dirpath, name))
                     except OSError:
                         pass
-        counters = self.load_counters()
-        counters["hits"] += self.hits
-        counters["misses"] += self.misses
-        counters["coalesced"] += self.coalesced
         return {"root": self.root, "enabled": self.enabled,
                 "entries": entries, "bytes": size,
-                "quarantined": quarantined, **counters}
+                "quarantined": quarantined,
+                "counters": self.load_counters()}
 
     def clear(self) -> int:
-        """Delete every cache entry (and reset the lifetime tallies);
+        """Delete every cache entry (and reset the lifetime record);
         returns the number of entries removed."""
         removed = 0
         for dirpath, dirnames, filenames in os.walk(self.root):
@@ -379,5 +356,4 @@ class ResultCache:
             os.unlink(self._counters_path())
         except OSError:
             pass
-        self.hits = self.misses = self.coalesced = 0
         return removed

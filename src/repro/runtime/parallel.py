@@ -33,7 +33,9 @@ persistent on-disk :class:`~repro.runtime.cache.ResultCache`, and the
 pool itself (duplicate jobs within one batch are submitted once).  A
 capacity sweep point (register file, speculative data memory) is also
 answered without simulating when a larger sibling's pools provably
-never bound (DESIGN §9.7).
+never bound (DESIGN §9.7).  Each runner keeps one record of where its
+results came from (:data:`SOURCES`); the runtime summary, the serving
+layer's metrics and ``repro cache info`` all render that record.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..uarch import ProcessorConfig, SimStats
+from ..workloads import kernel_names
 from .cache import ResultCache
 from .keys import cached_program, capacity_group, run_key
 from .spec import RunSpec
@@ -515,6 +518,11 @@ def _is_interval_token(text: Optional[str]) -> bool:
     return is_interval_token(text)
 
 
+#: where a resolved run's result came from, in rendering order: the
+#: names of a runner's one source record (``ParallelRunner.tally``)
+SOURCES = ("memo", "disk", "derived", "sim", "failed")
+
+
 class ParallelRunner:
     """Memoising simulation runner with a worker pool and a disk cache.
 
@@ -522,9 +530,13 @@ class ParallelRunner:
     memo, then the persistent disk cache, then derivation from a larger
     sibling whose capacity pools provably never bound (DESIGN §9.7), then
     simulation (fanned out over the pool when a batch has more than one
-    miss and ``jobs > 1``).  ``memo_hits`` / ``disk_hits`` / ``derived``
-    / ``sims_run`` count those outcomes so callers can report "zero new
-    simulations" on a warm cache.
+    miss and ``jobs > 1``).  ``tally`` counts those outcomes under the
+    :data:`SOURCES` names — ``sim`` only for simulations that produced
+    stats, ``failed`` for the rest — so callers can report "zero new
+    simulations" on a warm cache.  :meth:`_note_source` is the one place
+    a source is counted; ``sims_run`` / ``memo_hits`` / ``disk_hits`` /
+    ``derived`` read the record, and every ``run_many`` merges what it
+    added into the cache's lifetime ``counters.json``.
 
     ``keep_going`` (or ``REPRO_KEEP_GOING=1``) turns job failures into
     :class:`FailedResult` placeholders collected in ``self.failures``;
@@ -563,13 +575,15 @@ class ParallelRunner:
         self.observations: List[Tuple[str, dict]] = []
         #: FailedResult placeholders collected under ``keep_going``
         self.failures: List[FailedResult] = []
-        #: where each resolved run last came from: ``memo`` / ``disk`` /
-        #: ``derived`` / ``sim`` / ``failed``.  Each run is recorded
-        #: under every name it answers to — the ``(kernel, cfg)`` point,
-        #: the spec itself and (when derivable) the canonical cache key —
-        #: so local callers and the serving layer share one attribution
-        #: table.
+        #: where each resolved run last came from (a :data:`SOURCES`
+        #: name), by spec and, when the program builds, by canonical run
+        #: key — the serving layer looks its jobs up by key
         self.sources: Dict[object, str] = {}
+        #: resolutions per source name; a thin client adds the daemon's
+        #: ``coalesced``
+        self.tally: Dict[str, int] = dict.fromkeys(SOURCES, 0)
+        #: the part of ``tally`` already merged into the cache's counters
+        self._persisted: Dict[str, int] = {}
         self._memo: Dict[str, SimStats] = {}
         #: capacity derivation (DESIGN §9.7): resolved plain runs by
         #: sweep group, then by capacity vector; ``_unindexed`` holds the
@@ -577,10 +591,6 @@ class ParallelRunner:
         self._capacity_index: Dict[tuple, Dict[Tuple[int, int],
                                                SimStats]] = {}
         self._unindexed: List[Tuple[RunSpec, SimStats]] = []
-        self.memo_hits = 0
-        self.disk_hits = 0
-        self.derived = 0
-        self.sims_run = 0
         #: pool rebuilds attributable to this runner's batches (the
         #: process-wide tally is :func:`pool_restart_count`)
         self.pool_restarts = 0
@@ -624,16 +634,36 @@ class ParallelRunner:
         except Exception:
             return None
 
-    def _note_source(self, ident: object, point, spec: RunSpec,
-                     src: str) -> None:
-        self.sources[(spec.kernel, spec.cfg)] = src
+    # -- the source record ---------------------------------------------
+    sims_run = property(lambda self: self.tally["sim"])
+    memo_hits = property(lambda self: self.tally["memo"])
+    disk_hits = property(lambda self: self.tally["disk"])
+    derived = property(lambda self: self.tally["derived"])
+
+    def _note_source(self, ident: object, spec: RunSpec, src: str) -> None:
+        """Record where one run's result came from (the only counter)."""
         self.sources[spec] = src
         if isinstance(ident, str):
             self.sources[ident] = src
+        self.tally[src] = self.tally.get(src, 0) + 1
+
+    def _persist_tally(self) -> None:
+        """Merge what the record gained since the last call into the
+        cache's lifetime counters (kept for the next call on failure)."""
+        delta = {name: n - self._persisted.get(name, 0)
+                 for name, n in self.tally.items()}
+        if self.cache.merge_counters(delta):
+            self._persisted = dict(self.tally)
 
     # -- execution -------------------------------------------------------
     def run(self, name: str, cfg: ProcessorConfig) -> SimStats:
         return self.run_many([RunSpec(name, self.scale, self.seed, cfg)])[0]
+
+    def run_suite(self, cfg: ProcessorConfig) -> Dict[str, SimStats]:
+        """Every suite kernel under ``cfg``, resolved as one batch."""
+        names = kernel_names()
+        return dict(zip(names, self.run_many(
+            [RunSpec(name, self.scale, self.seed, cfg) for name in names])))
 
     def run_many(self, points: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve a batch of runs, order-preserving.
@@ -647,32 +677,29 @@ class ParallelRunner:
         results are additionally never written back.
         """
         order: List[object] = []
-        specs: Dict[object, Tuple[object, RunSpec]] = {}
+        specs: Dict[object, RunSpec] = {}
         for point in points:
             spec = self._as_spec(point)
             key = self._spec_key(spec)
             ident: object = key if key is not None else spec
             order.append(ident)
-            if ident not in specs:
-                specs[ident] = (point, spec)
+            specs.setdefault(ident, spec)
         resolved: Dict[object, SimStats] = {}
-        pending: List[Tuple[object, object, RunSpec]] = []
-        sampled_parents: List[Tuple[object, object, RunSpec]] = []
-        for ident, (point, spec) in specs.items():
+        pending: List[Tuple[object, RunSpec]] = []
+        sampled_parents: List[Tuple[object, RunSpec]] = []
+        for ident, spec in specs.items():
             key = ident if isinstance(ident, str) else None
             reads_ok = (key is not None and spec.observe is None
                         and spec.faults is None)
             if reads_ok:
                 st = self._memo.get(key)
                 if st is not None:
-                    self.memo_hits += 1
-                    self._note_source(ident, point, spec, "memo")
+                    self._note_source(ident, spec, "memo")
                     resolved[ident] = st
                     continue
                 st = self.cache.get(key)
                 if st is not None:
-                    self.disk_hits += 1
-                    self._note_source(ident, point, spec, "disk")
+                    self._note_source(ident, spec, "disk")
                     self._memo[key] = resolved[ident] = st
                     self._index(spec, st)
                     continue
@@ -681,32 +708,27 @@ class ParallelRunner:
                 # resolve_sampled (which calls back into run_many, so
                 # the intervals get the full memo/disk/pool treatment);
                 # only the stitched estimate is recorded under this key.
-                sampled_parents.append((ident, point, spec))
+                sampled_parents.append((ident, spec))
                 continue
-            pending.append((ident, point, spec))
+            pending.append((ident, spec))
         if sampled_parents:
             from ..sampling.executor import resolve_sampled
-            for ident, point, spec, st in resolve_sampled(
-                    self, sampled_parents):
+            for ident, spec, st in resolve_sampled(self, sampled_parents):
+                resolved[ident] = st
                 if isinstance(st, FailedResult):
                     self.failures.append(st)
-                    self._note_source(ident, point, spec, "failed")
-                    resolved[ident] = st
+                    self._note_source(ident, spec, "failed")
                     continue
-                self.sims_run += 1
-                resolved[ident] = st
-                self._note_source(ident, point, spec, "sim")
+                self._note_source(ident, spec, "sim")
                 if isinstance(ident, str):
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
         if pending:
             self._simulate(pending, resolved)
-        # Persist the hit/miss tallies this batch accumulated (a no-op
-        # when nothing changed or the cache is disabled).
-        self.cache.flush_counters()
+        self._persist_tally()
         return [resolved[ident] for ident in order]
 
-    def _simulate(self, pending: List[Tuple[object, object, RunSpec]],
+    def _simulate(self, pending: List[Tuple[object, RunSpec]],
                   resolved: Dict[object, SimStats]) -> None:
         """Simulate ``pending`` in waves, answering each capacity sweep
         point that a resolved sibling's slack covers instead of
@@ -720,10 +742,10 @@ class ParallelRunner:
         :class:`WorkerError` names them all once every wave has run.
         """
         groups: Dict[tuple, List[Tuple[Tuple[int, int],
-                                       Tuple[object, object, RunSpec]]]] = {}
-        wave: List[Tuple[object, object, RunSpec]] = []
+                                       Tuple[object, RunSpec]]]] = {}
+        wave: List[Tuple[object, RunSpec]] = []
         for item in pending:
-            ident, _, spec = item
+            ident, spec = item
             if isinstance(ident, str) and _derivable(spec):
                 group, caps = capacity_group(spec)
                 groups.setdefault(group, []).append((caps, item))
@@ -745,25 +767,23 @@ class ParallelRunner:
                     wave.append(members.pop()[1])
             if not wave:
                 break
-            sim_jobs = [spec for _, _, spec in wave]
             restarts_before = pool_restart_count()
             results = execute_jobs_observed(
-                sim_jobs, self.jobs, timeout=self.timeout,
+                [spec for _, spec in wave], self.jobs, timeout=self.timeout,
                 retries=self.retries, keep_going=True)
-            self.sims_run += len(sim_jobs)
             self.pool_restarts += pool_restart_count() - restarts_before
-            for (ident, point, spec), (st, payload) in zip(wave, results):
+            for (ident, spec), (st, payload) in zip(wave, results):
                 if isinstance(st, FailedResult):
                     # A hole, not a result: report it, never cache it,
                     # never derive from it.
                     failures.append(st)
+                    self._note_source(ident, spec, "failed")
                     if self.keep_going:
                         self.failures.append(st)
-                        self._note_source(ident, point, spec, "failed")
                         resolved[ident] = st
                     continue
                 resolved[ident] = st
-                self._note_source(ident, point, spec, "sim")
+                self._note_source(ident, spec, "sim")
                 if isinstance(ident, str) and spec.faults is None:
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
@@ -776,7 +796,7 @@ class ParallelRunner:
 
     def _derive(self, siblings: Dict[Tuple[int, int], SimStats],
                 caps: Tuple[int, int],
-                item: Tuple[object, object, RunSpec],
+                item: Tuple[object, RunSpec],
                 resolved: Dict[object, SimStats]) -> bool:
         """Answer ``item`` from a sibling at least as large in both
         pools, each gap within that pool's slack.
@@ -795,12 +815,11 @@ class ParallelRunner:
                 break
         else:
             return False
-        ident, point, spec = item
+        ident, spec = item
         st = replace(src, regs_slack=src.regs_slack - gap_regs,
                      spec_mem_slack=src.spec_mem_slack - gap_positions,
                      interval_committed=list(src.interval_committed))
-        self.derived += 1
-        self._note_source(ident, point, spec, "derived")
+        self._note_source(ident, spec, "derived")
         self._memo[ident] = resolved[ident] = st
         siblings[caps] = st
         return True
@@ -836,16 +855,17 @@ class ParallelRunner:
         return aggregate_failure_report(self.failures)
 
     def runtime_summary(self) -> str:
-        """One-line accounting of where results came from."""
-        line = (f"runtime: {self.sims_run} simulation(s) run "
-                f"({self.jobs} worker(s)), {self.disk_hits} disk-cache "
-                f"hit(s), {self.memo_hits} memo hit(s), {self.derived} "
+        """One-line rendering of the source record."""
+        tally = self.tally
+        line = (f"runtime: {tally['sim']} simulation(s) run "
+                f"({self.jobs} worker(s)), {tally['disk']} disk-cache "
+                f"hit(s), {tally['memo']} memo hit(s), {tally['derived']} "
                 f"derived")
         store = self._ckpt_store
         if store is not None:
             line += (f", sampling: {store.fast_forwards} fast-forward "
                      f"pass(es), {store.checkpoint_hits} checkpoint "
                      f"hit(s)")
-        if self.failures:
-            line += f", {len(self.failures)} FAILED"
+        if tally["failed"]:
+            line += f", {tally['failed']} FAILED"
         return line

@@ -191,27 +191,26 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
                     ) -> List[Tuple]:
     """Resolve parent sampled specs through the runner's machinery.
 
-    ``items`` is ``[(ident, point, spec), ...]`` for specs whose
+    ``items`` is ``[(ident, spec), ...]`` for specs whose
     ``sampling`` is a *parent* token that missed the memo/disk caches.
     Plans are derived and checkpoints ensured here, in the parent
     process — one fast-forward per (program, boundary) no matter how
     many policies/configs are being swept — then every interval job is
     pushed through ``runner.run_many`` (pool fan-out, interval-level
     result caching, retries, keep-going).  Returns
-    ``[(ident, point, spec, stats-or-FailedResult), ...]``.
+    ``[(ident, spec, stats-or-FailedResult), ...]``.
     """
     from ..runtime.parallel import FailedResult, WorkerError, \
         aggregate_failure_report
     store = runner.checkpoint_store()
     prepared = []
     out: List[Tuple] = []
-    for ident, point, spec in items:
+    for ident, spec in items:
         try:
             _reject_riders(spec)
             plan = plan_for(spec, store)
             ensure_checkpoints(spec.program(), plan.boundaries, store)
-            prepared.append((ident, point, spec, plan,
-                             interval_specs(spec, plan)))
+            prepared.append((ident, spec, plan, interval_specs(spec, plan)))
         except Exception:
             fr = FailedResult(spec.kernel, spec.scale, spec.seed,
                               error=traceback.format_exc(),
@@ -219,13 +218,13 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             if not runner.keep_going:
                 raise WorkerError(aggregate_failure_report([fr])) \
                     from None
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
     all_children: List[RunSpec] = []
-    for _, _, _, _, children in prepared:
+    for _, _, _, children in prepared:
         all_children.extend(children)
     child_stats = runner.run_many(all_children) if all_children else []
     cursor = 0
-    for ident, point, spec, plan, children in prepared:
+    for ident, spec, plan, children in prepared:
         deltas = child_stats[cursor:cursor + len(children)]
         cursor += len(children)
         holes = [d for d in deltas if isinstance(d, FailedResult)]
@@ -233,7 +232,7 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             fr = FailedResult(spec.kernel, spec.scale, spec.seed,
                               error=holes[0].error, phase=holes[0].phase,
                               attempts=holes[0].attempts)
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
             continue
         try:
             est = combine(plan, deltas)
@@ -244,7 +243,7 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             if not runner.keep_going:
                 raise WorkerError(aggregate_failure_report([fr])) \
                     from None
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
             continue
-        out.append((ident, point, spec, est))
+        out.append((ident, spec, est))
     return out

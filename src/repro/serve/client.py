@@ -7,9 +7,9 @@ Two layers:
   parsed into protocol types, and a :meth:`ServeClient.run` convenience
   that submits a batch, honours ``retry_after`` backpressure, polls to
   terminal states and collects results.
-* :class:`RemoteRunner` — an :class:`~repro.experiments.common.Runner`
+* :class:`RemoteRunner` — a :class:`~repro.runtime.ParallelRunner`
   whose ``run_many`` ships every pending point to a daemon instead of a
-  local worker pool.  Figures and suites built on ``Runner`` work
+  local worker pool.  Figures and suites built on the runner work
   unchanged (``repro suite --server``, ``repro figure --server``):
   stats come back as the same :class:`~repro.uarch.SimStats` values the
   daemon's runner produced, and failures surface as the same
@@ -25,8 +25,7 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.common import Runner
-from ..runtime import FailedResult, ResultCache, RunSpec
+from ..runtime import FailedResult, ParallelRunner, ResultCache, RunSpec
 from ..uarch import SimStats
 from . import protocol
 from .protocol import ErrorInfo, JobStatus
@@ -340,18 +339,17 @@ class ServeClient:
         return [o for o in outcomes if o is not None]
 
 
-class RemoteRunner(Runner):
-    """A ``Runner`` whose misses execute on a remote daemon.
+class RemoteRunner(ParallelRunner):
+    """A ``ParallelRunner`` whose misses execute on a remote daemon.
 
     The local memo still deduplicates within the process; everything
     else — disk cache, worker pool, coalescing — lives on the server.
-    Accounting mirrors the server's per-job ``source`` attribution so
+    The inherited source record counts a local memo hit as ``memo`` and
+    every served job under the daemon's per-job ``source``, so
     ``runtime_summary`` stays honest about where results came from.
     """
 
-    def __init__(self, addr: str,
-                 scale: Optional[float] = None,
-                 seed: Optional[int] = None,
+    def __init__(self, addr: str, scale: float, seed: int,
                  keep_going: bool = False,
                  on_update: Optional[Callable[[str, JobStatus],
                                               None]] = None,
@@ -366,9 +364,6 @@ class RemoteRunner(Runner):
         self.on_update = on_update
         #: results by spec identity (the daemon owns the canonical keys)
         self._spec_memo: Dict[RunSpec, SimStats] = {}
-        #: server-side source tallies
-        #: (sim/disk/memo/derived/coalesced/failed)
-        self.server_sources: Dict[str, int] = {}
 
     def run_many(self, points: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve runs via the daemon, order-preserving.
@@ -389,21 +384,18 @@ class RemoteRunner(Runner):
                 continue
             st = self._spec_memo.get(spec)
             if st is not None:
-                self.memo_hits += 1
-                self.sources[spec] = "memo"
+                self._note_source(spec, spec, "memo")
                 resolved[spec] = st
                 continue
             pending.append(spec)
         if pending:
             outcomes = self.client.run(pending, on_update=self.on_update)
             for spec, (status, stats) in zip(pending, outcomes):
-                source = status.source or status.state
-                self.server_sources[source] = (
-                    self.server_sources.get(source, 0) + 1)
                 if status.state == protocol.DONE and stats is not None:
                     st = SimStats.from_dict(stats)
                     self._spec_memo[spec] = resolved[spec] = st
-                    self.sources[spec] = source
+                    self._note_source(spec, spec,
+                                      status.source or status.state)
                     continue
                 err = status.error or ErrorInfo(
                     kind="failed", message=f"job ended {status.state} "
@@ -414,21 +406,16 @@ class RemoteRunner(Runner):
                     raise ServeError(f"remote job failed: "
                                      f"{failed.describe()}")
                 self.failures.append(failed)
-                self.sources[spec] = "failed"
+                self._note_source(spec, spec, "failed")
                 resolved[spec] = failed
         return [resolved[spec] for spec in order]
 
     def runtime_summary(self) -> str:
-        served = sum(self.server_sources.values())
-        parts = [f"runtime: {served} job(s) served by "
+        """One-line rendering of the source record (nonzero names)."""
+        parts = [f"runtime: {sum(self.tally.values())} job(s) served by "
                  f"{self.client.base_url}"]
-        for source in ("sim", "disk", "memo", "derived", "coalesced"):
-            n = self.server_sources.get(source, 0)
-            if n:
-                parts.append(f"{n} {source}")
-        if self.memo_hits:
-            parts.append(f"{self.memo_hits} local memo hit(s)")
-        line = ", ".join(parts)
-        if self.failures:
-            line += f", {len(self.failures)} FAILED"
-        return line
+        parts.extend(f"{n} {source}" for source, n in self.tally.items()
+                     if n and source != "failed")
+        if self.tally["failed"]:
+            parts.append(f"{self.tally['failed']} FAILED")
+        return ", ".join(parts)

@@ -9,8 +9,10 @@ Two export faces over one counter store:
 Per-simulation observability stays with the Observer taxonomy (CPI
 stacks, audit trails — attach ``--observe`` to a run); this module adds
 the *server-level* signals those can't see: queue depth, in-flight
-batches, coalesce fan-in, cache effectiveness, throughput and worker
-restarts (fed by :func:`repro.runtime.pool_restart_count`).
+batches, coalesce fan-in, throughput and worker restarts (fed by
+:func:`repro.runtime.pool_restart_count`).  Where results came from is
+not counted here: both faces render the executor's merged runner
+source record (``tally``, :data:`repro.runtime.SOURCES` names).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class ServerMetrics:
 
     # -- export ----------------------------------------------------------
     def snapshot(self, queue_snapshot: Dict[str, int],
-                 executor_totals: Dict[str, int],
+                 tally: Dict[str, int],
                  state: str, jobs: Optional[int],
                  journal: Optional[Dict[str, int]] = None,
                  ) -> Dict[str, object]:
@@ -84,19 +86,15 @@ class ServerMetrics:
         server's crash-safety sub-report (epoch counts, replay
         tallies)."""
         p50, p95 = self.latency_quantiles()
-        cache_hits = (executor_totals["disk_hits"]
-                      + executor_totals["memo_hits"]
-                      + executor_totals.get("derived", 0))
         out: Dict[str, object] = {
             "status": state,
             "uptime_seconds": round(self.uptime, 3),
             "jobs": jobs,
             "queue": dict(queue_snapshot),
             "counters": dict(self.counters),
-            "sims_run": executor_totals["sims_run"],
-            "cache_hits": cache_hits,
-            "sims_per_second": round(
-                self.sims_per_second(executor_totals["sims_run"]), 3),
+            "sims_run": tally["sim"],
+            "cache_hits": tally["disk"] + tally["memo"] + tally["derived"],
+            "sims_per_second": round(self.sims_per_second(tally["sim"]), 3),
             "worker_restarts": pool_restart_count(),
             "latency_seconds": {"p50": round(p50, 6), "p95": round(p95, 6),
                                 "count": self._latency_count},
@@ -106,7 +104,7 @@ class ServerMetrics:
         return out
 
     def render_prometheus(self, queue_snapshot: Dict[str, int],
-                          executor_totals: Dict[str, int],
+                          tally: Dict[str, int],
                           state: str,
                           journal: Optional[Dict[str, int]] = None) -> str:
         """The ``/metrics`` exposition (Prometheus text format 0.0.4)."""
@@ -165,21 +163,19 @@ class ServerMetrics:
                    "Torn/corrupt journal lines quarantined at startup.",
                    int(journal.get("quarantined", 0)))
         metric("sims_total", "counter",
-               "Simulations actually executed by the pool.",
-               executor_totals["sims_run"])
+               "Simulations that produced stats.", tally["sim"])
         metric("cache_hits_total", "counter",
-               "Jobs served from the persistent disk cache.",
-               executor_totals["disk_hits"], '{layer="disk"}')
-        lines.append(f'repro_cache_hits_total{{layer="memo"}} '
-                     f'{executor_totals["memo_hits"]}')
-        lines.append(f'repro_cache_hits_total{{layer="derived"}} '
-                     f'{executor_totals.get("derived", 0)}')
+               "Jobs answered without simulating, by layer.",
+               tally["disk"], '{layer="disk"}')
+        for layer in ("memo", "derived"):
+            lines.append(f'repro_cache_hits_total{{layer="{layer}"}} '
+                         f'{tally[layer]}')
         metric("worker_restarts_total", "counter",
                "Worker-pool rebuilds after transient failures.",
                pool_restart_count())
         metric("sims_per_second", "gauge",
                "Simulation throughput since startup.",
-               self.sims_per_second(executor_totals["sims_run"]))
+               self.sims_per_second(tally["sim"]))
         lines.append("# HELP repro_job_latency_seconds End-to-end job "
                      "latency (submit to terminal state).")
         lines.append("# TYPE repro_job_latency_seconds summary")

@@ -33,8 +33,8 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime import (TRANSIENT_PHASES, FailedResult, ParallelRunner,
-                       ResultCache, RunSpec, default_retries)
+from ..runtime import (SOURCES, TRANSIENT_PHASES, FailedResult,
+                       ParallelRunner, ResultCache, RunSpec, default_retries)
 from . import protocol
 from .journal import COMPLETED, FAILED, JobJournal
 from .metrics import ServerMetrics
@@ -185,14 +185,14 @@ class SimExecutor:
         return outcome
 
     # -- accounting ------------------------------------------------------
-    def totals(self) -> Dict[str, int]:
-        runners = self._runners.values()
-        return {name: sum(getattr(r, name) for r in runners)
-                for name in ("sims_run", "disk_hits", "memo_hits",
-                             "derived")}
-
-    def flush_cache(self) -> None:
-        self.cache.flush_counters()
+    def tally(self) -> Dict[str, int]:
+        """The runners' source records merged into one (each runner
+        persists its own to the cache's counters)."""
+        merged = dict.fromkeys(SOURCES, 0)
+        for runner in list(self._runners.values()):
+            for source, n in runner.tally.items():
+                merged[source] += n
+        return merged
 
 
 class Dispatcher:
@@ -255,7 +255,6 @@ class Dispatcher:
             if self.breaker.note_batch(entries, outcome):
                 self.metrics.inc("circuit_trips")
             self._finish(entries, outcome)
-            self.executor.flush_cache()
 
     def _finish(self, entries: List[Entry],
                 outcome: Dict[str, Tuple[object, str]]) -> None:

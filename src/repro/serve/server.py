@@ -23,8 +23,7 @@ Graceful drain (SIGTERM/SIGINT, or :meth:`ServeServer.request_shutdown`):
    with a ``draining`` message);
 3. let the in-flight batch finish — the pool is never abandoned
    mid-simulation, so no orphaned workers;
-4. flush the cache hit/miss/coalesce tallies to disk;
-5. hold the listener open for a short grace period so clients polling
+4. hold the listener open for a short grace period so clients polling
    ``status``/``result`` can collect terminal states, then close.
 """
 
@@ -222,7 +221,6 @@ class ServeServer:
                 [("cancelled", e.key, {"reason": "draining"})
                  for e in drained])
         await self.dispatcher.stop()     # in-flight batch finishes
-        self.executor.flush_cache()
         if self.journal is not None:
             self.journal.close()
         await asyncio.sleep(self.grace)  # late pollers collect results
@@ -234,7 +232,7 @@ class ServeServer:
     def abort(self) -> None:
         """Crash simulation for tests: drop everything on the floor.
 
-        No drain, no cancel records, no cache flush — the closest an
+        No drain, no cancel records — the closest an
         in-process server gets to kill -9.  The dispatcher task is
         cancelled (an in-flight ``to_thread`` batch keeps running in
         the background but its outcome is discarded and never
@@ -362,7 +360,7 @@ class ServeServer:
         if path in ("/healthz", f"{protocol.API_PREFIX}/health"):
             state = self.state
             payload = protocol.ok_envelope(**self.metrics.snapshot(
-                self.queue.snapshot(), self.executor.totals(),
+                self.queue.snapshot(), self.executor.tally(),
                 state, self.executor.jobs,
                 journal=self._journal_info()))
             # Anything but plain "ok" answers 503 so load balancers and
@@ -371,7 +369,7 @@ class ServeServer:
             return (200 if state == "ok" else 503), payload, {}
         if path == "/metrics":
             return 200, self.metrics.render_prometheus(
-                self.queue.snapshot(), self.executor.totals(),
+                self.queue.snapshot(), self.executor.tally(),
                 self.state, journal=self._journal_info()), {}
         return 404, protocol.error_envelope(ErrorInfo(
             kind="not-found", message=f"no route {method} {path}")), {}
@@ -418,7 +416,6 @@ class ServeServer:
             # Fan-in: no new work enters the system, so coalesced
             # submissions bypass both admission checks.
             self.metrics.inc("jobs_coalesced")
-            self.executor.cache.note_coalesced()
         elif not self.breaker.allows():
             retry = self.breaker.retry_after()
             self.metrics.inc("jobs_rejected_degraded")
@@ -520,11 +517,10 @@ async def _amain(**opts) -> int:
           f"{server.queue_depth}); SIGTERM/SIGINT drains",
           file=sys.stderr, flush=True)
     await server.wait_stopped()
-    totals = server.executor.totals()
-    print(f"repro serve: drained — {totals['sims_run']} simulation(s) "
-          f"run, {totals['disk_hits']} disk hit(s), "
-          f"{totals['memo_hits']} memo hit(s), {totals['derived']} "
-          f"derived, "
+    tally = server.executor.tally()
+    print(f"repro serve: drained — {tally['sim']} simulation(s) "
+          f"run, {tally['disk']} disk hit(s), {tally['memo']} memo "
+          f"hit(s), {tally['derived']} derived, "
           f"{server.metrics.counters['jobs_coalesced']} coalesced",
           file=sys.stderr, flush=True)
     return 0

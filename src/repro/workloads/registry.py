@@ -7,7 +7,7 @@ usually swept at.  Registration order is the paper's presentation order
 and is what every suite sweep, figure, fault matrix and the serve layer
 enumerate — there is no second private kernel list anywhere.
 
-``repro kernels`` renders this table; :func:`get_workload` resolves
+``repro list`` renders this table; :func:`get_workload` resolves
 names with the shared did-you-mean helper, so an unknown kernel fails
 identically at the CLI, in a ``RunSpec`` and over the serve protocol.
 """

@@ -53,10 +53,9 @@ def suite_stats(name: str) -> dict:
 def figure_table() -> str:
     os.environ["REPRO_SCALE"] = str(FIG_SCALE)
     from repro.experiments import fig05
-    from repro.experiments.common import Runner
-    from repro.runtime import ResultCache
-    runner = Runner(scale=FIG_SCALE, seed=SEED, jobs=1,
-                    cache=ResultCache(enabled=False))
+    from repro.runtime import ParallelRunner, ResultCache
+    runner = ParallelRunner(scale=FIG_SCALE, seed=SEED, jobs=1,
+                            cache=ResultCache(enabled=False))
     return fig05.compute(runner).render()
 
 

@@ -178,68 +178,63 @@ class TestFaultModeDisablesCache:
 
 
 class TestCacheCounters:
-    """Lifetime hit/miss/coalesce accounting (PR: serving layer)."""
+    """The lifetime record: the runners' source tallies merged into
+    ``counters.json`` — the cache itself counts nothing."""
 
-    def test_get_tallies_hits_and_misses(self, cache):
-        assert cache.get(KEY) is None
-        cache.put(KEY, SimStats(cycles=3, committed=2))
-        assert cache.get(KEY) is not None
-        assert (cache.hits, cache.misses) == (1, 1)
+    def test_runner_record_persists_disk_and_sim(self, cache):
+        cfg = wb(1, 256)
+        ParallelRunner(scale=0.05, seed=1, jobs=1, cache=cache).run(
+            "eon", cfg)
+        assert cache.load_counters()["sim"] == 1
+        warm = ParallelRunner(scale=0.05, seed=1, jobs=1, cache=cache)
+        warm.run("eon", cfg)
+        assert (cache.load_counters()["sim"],
+                cache.load_counters()["disk"]) == (1, 1)
+        assert not hasattr(cache, "hits")
 
     def test_corrupt_entry_counts_as_miss(self, cache):
-        write_raw(cache, KEY, "{garbage")
-        assert cache.get(KEY) is None
-        assert cache.misses == 1
+        cfg = wb(1, 256)
+        ParallelRunner(scale=0.05, seed=1, jobs=1, cache=cache).run(
+            "eon", cfg)
+        from repro.runtime import RunSpec, run_key
+        write_raw(cache, run_key(RunSpec("eon", 0.05, 1, cfg)), "{garbage")
+        again = ParallelRunner(scale=0.05, seed=1, jobs=1, cache=cache)
+        again.run("eon", cfg)
+        assert (again.disk_hits, again.sims_run) == (0, 1)
+        assert cache.load_counters()["sim"] == 2
 
     def test_disabled_cache_counts_nothing(self, tmp_path):
         c = ResultCache(root=str(tmp_path / "c"), enabled=False)
-        c.get(KEY)
-        c.note_coalesced()
-        c.flush_counters()
-        assert (c.hits, c.misses, c.coalesced) == (0, 0, 1)
+        assert c.merge_counters({"sim": 1})
+        assert c.load_counters() == {}
         assert not os.path.exists(c.root)
 
     def test_flush_merges_across_instances(self, cache):
-        cache.get(KEY)                      # one miss
-        cache.note_coalesced(2)
-        totals = cache.flush_counters()
-        assert totals == {"hits": 0, "misses": 1, "coalesced": 2}
-        # in-memory tallies reset after a successful flush
-        assert (cache.hits, cache.misses, cache.coalesced) == (0, 0, 0)
+        assert cache.merge_counters({"sim": 1, "failed": 2})
         other = ResultCache(root=cache.root, enabled=True)
-        other.get(KEY)
-        totals = other.flush_counters()
-        assert totals == {"hits": 0, "misses": 2, "coalesced": 2}
-        assert other.load_counters()["misses"] == 2
+        assert other.merge_counters({"sim": 1, "disk": 3})
+        assert other.load_counters() == {"sim": 2, "failed": 2, "disk": 3}
 
     def test_counters_file_is_not_a_cache_entry(self, cache):
-        cache.get(KEY)
-        cache.flush_counters()
+        cache.merge_counters({"sim": 1})
         info = cache.info()
         assert info["entries"] == 0          # counters.json excluded
         report = cache.verify()
         assert report["corrupt"] == 0        # never quarantined
-        assert cache.load_counters()["misses"] == 1
+        assert cache.load_counters()["sim"] == 1
 
-    def test_info_includes_unflushed_tallies(self, cache):
-        cache.get(KEY)
-        cache.flush_counters()
-        cache.get(KEY)                       # unflushed second miss
-        assert cache.info()["misses"] == 2
+    def test_info_reads_the_persisted_record(self, cache):
+        cache.merge_counters({"memo": 2, "sim": 1})
+        assert cache.info()["counters"] == {"memo": 2, "sim": 1}
 
     def test_clear_resets_counters(self, cache):
-        cache.get(KEY)
-        cache.note_coalesced()
-        cache.flush_counters()
+        cache.merge_counters({"sim": 1})
         cache.clear()
-        assert cache.load_counters() == {"hits": 0, "misses": 0,
-                                         "coalesced": 0}
-        assert cache.info()["misses"] == 0
+        assert cache.load_counters() == {}
+        assert cache.info()["counters"] == {}
 
     def test_unreadable_counters_file_reads_as_zero(self, cache):
-        cache.get(KEY)
-        cache.flush_counters()
+        cache.merge_counters({"sim": 1})
         with open(os.path.join(cache.root, "counters.json"), "w") as fh:
             fh.write("{broken")
-        assert cache.load_counters() == {"hits": 0, "misses": 0,
-                                         "coalesced": 0}
+        assert cache.load_counters() == {}

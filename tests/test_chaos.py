@@ -1,9 +1,10 @@
 """Tests for the service-layer chaos harness (plan grammar + report).
 
-The subprocess drills themselves run in CI's chaos-smoke job and via
+The full subprocess drills run in CI's chaos-smoke job and via
 ``repro chaos``; here we pin down the deterministic plumbing — the
 plan grammar, seeded trigger resolution, and the report verdict — so a
-drill's behaviour is reproducible from its spec string alone.
+drill's behaviour is reproducible from its spec string alone, plus one
+small real drill whose planned event cannot take effect.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.faults.chaos import (
     ChaosPlan,
     ChaosReport,
     ChaosSpec,
+    run_chaos,
 )
 
 
@@ -115,6 +117,17 @@ class TestReport:
         assert not report.ok
         assert "verdict         : FAIL" in report.render()
 
+    def test_an_event_without_effect_is_inconclusive(self):
+        report = self._report(unapplied=["kill-worker@0"])
+        assert not report.ok
+        assert report.verdict == "INCONCLUSIVE"
+        text = report.render()
+        assert "(1 unapplied: kill-worker@0)" in text
+        assert "verdict         : INCONCLUSIVE" in text
+        # a broken contract still reads FAIL
+        assert self._report(unapplied=["kill-worker@0"],
+                            mismatches=["gzip"]).verdict == "FAIL"
+
     def test_render_surfaces_the_evidence(self):
         report = self._report(
             violations=["k: completed without an accepted record"],
@@ -124,3 +137,15 @@ class TestReport:
         assert "INCONSISTENT" in text
         assert "deadbeefcafe" in text
         assert "quarantined     : 3 line(s)" in text
+
+
+class TestDrill:
+    def test_kill_worker_without_a_pool_is_inconclusive(self, tmp_path):
+        # One in-process worker: the daemon never starts a pool, so the
+        # planned kill can never land and the drill must not read OK.
+        report = run_chaos(ChaosPlan.parse("kill-worker@start"), ["gzip"],
+                           scale=0.05, jobs=1, workdir=str(tmp_path))
+        assert report.fired == []
+        assert report.unapplied == ["kill-worker@0"]
+        assert not (report.failures or report.mismatches)
+        assert report.verdict == "INCONCLUSIVE"

@@ -91,7 +91,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert "unknown kernel" in err
-        assert "repro kernels" in err
+        assert "repro list" in err
 
     def test_unknown_kernel_suggests_close_match(self, capsys):
         rc = main(["run", "bzip"])
@@ -100,16 +100,21 @@ class TestCommands:
 
     def test_kernels_lists_registry(self, capsys):
         from repro.workloads import all_workloads
-        rc, out = run_cli(capsys, "kernels")
+        rc, out = run_cli(capsys, "list")
         assert rc == 0
         for spec in all_workloads():
             assert spec.name in out and spec.category in out
         assert "0.1/0.3/0.5" in out
+        assert "traits:" not in out and "components:" not in out
 
     def test_kernels_verbose(self, capsys):
-        rc, out = run_cli(capsys, "kernels", "-v")
+        rc, out = run_cli(capsys, "list", "-v")
         assert rc == 0
         assert "traits:" in out and "pointer chase" in out
+        assert "components: filter=mbs" in out
+        for retired in ("kernels", "policies"):   # folded into 'list'
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([retired])
 
     def test_figure_by_number(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.2")
@@ -216,9 +221,15 @@ class TestServeCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         rc, out = run_cli(capsys, "cache", "info")
         assert rc == 0
-        assert "hits       : 0" in out
-        assert "misses     : 0" in out
-        assert "coalesced  : 0" in out
+        for name in ("memo", "disk", "derived", "sim", "failed"):
+            assert f"{name:11s}: 0" in out
+        assert "hits" not in out and "coalesced" not in out
+        # a counters.json written before the record reads as zeros
+        (tmp_path / "cache").mkdir(exist_ok=True)
+        with open(tmp_path / "cache" / "counters.json", "w") as fh:
+            fh.write('{"hits": 4, "misses": 2, "coalesced": 1}')
+        rc, out = run_cli(capsys, "cache", "info")
+        assert "sim        : 0" in out and "hits" not in out
 
     def test_serve_and_submit_parsers(self):
         args = build_parser().parse_args(["serve", "--port", "0",

@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.analysis import harmonic_mean
 from repro.experiments import ALL_ABLATIONS, ALL_EXPERIMENTS
 from repro.experiments.common import (
     Check,
     Figure,
-    Runner,
     monotone_nondecreasing,
     reg_label,
 )
+from repro.runtime import ParallelRunner
 from repro.uarch import ci, wb
 from repro.uarch.config import INF_REGS
+
+
+def tiny_runner():
+    return ParallelRunner(scale=0.15, seed=1)
 
 
 class TestCheckAndFigure:
@@ -43,25 +48,25 @@ class TestCheckAndFigure:
 
 class TestRunner:
     def test_memoisation(self):
-        r = Runner(scale=0.15)
+        r = tiny_runner()
         cfg = wb(1, 256)
         a = r.run("eon", cfg)
         b = r.run("eon", cfg)
         assert a is b  # identical object: cached
 
     def test_different_configs_not_shared(self):
-        r = Runner(scale=0.15)
+        r = tiny_runner()
         assert r.run("eon", wb(1, 256)) is not r.run("eon", wb(2, 256))
 
     def test_suite_and_hmean(self):
-        r = Runner(scale=0.15)
+        r = tiny_runner()
         stats = r.run_suite(wb(1, 256))
         assert len(stats) == 12
-        h = r.suite_hmean_ipc(wb(1, 256))
+        h = harmonic_mean(s.ipc for s in r.run_suite(wb(1, 256)).values())
         assert 0 < h < 8
 
     def test_program_cache(self):
-        r = Runner(scale=0.15)
+        r = tiny_runner()
         assert r.program("bzip2") is r.program("bzip2")
 
 
@@ -82,7 +87,7 @@ class TestOneFigureEndToEnd:
 
     def test_fig05_structure(self):
         from repro.experiments import fig05
-        fig = fig05.compute(Runner(scale=0.15))
+        fig = fig05.compute(tiny_runner())
         assert fig.fig_id == "Figure 5"
         assert len(fig.rows) == 13          # 12 kernels + INT row
         assert all(len(r) == len(fig.headers) for r in fig.rows)
@@ -93,5 +98,5 @@ class TestOneFigureEndToEnd:
 
     def test_fig05_renders(self):
         from repro.experiments import fig05
-        out = fig05.compute(Runner(scale=0.15)).render()
+        out = fig05.compute(tiny_runner()).render()
         assert "Figure 5" in out and "INT" in out

@@ -110,10 +110,9 @@ def test_skip_ahead_actually_skips():
 def test_figure_table_byte_identical(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", str(FIG_SCALE))
     from repro.experiments import fig05
-    from repro.experiments.common import Runner
-    from repro.runtime import ResultCache
+    from repro.runtime import ParallelRunner, ResultCache
 
-    runner = Runner(scale=FIG_SCALE, seed=SEED, jobs=1,
-                    cache=ResultCache(enabled=False))
+    runner = ParallelRunner(scale=FIG_SCALE, seed=SEED, jobs=1,
+                            cache=ResultCache(enabled=False))
     produced = fig05.compute(runner).render() + "\n"
     assert produced == _golden_bytes("fig05.txt")

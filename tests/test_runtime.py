@@ -307,9 +307,12 @@ class TestResilience:
         cfg = wb(1, 256)
         out1 = r.run_many([RunSpec("nosuchkernel", SCALE, SEED, cfg)])
         assert getattr(out1[0], "failed", False)
-        n = r.sims_run
+        assert r.tally["failed"] == len(r.failures) == 1
         out2 = r.run_many([RunSpec("nosuchkernel", SCALE, SEED, cfg)])
-        assert r.sims_run == n + 1     # re-attempted, not served from memo
+        # re-attempted, not served from memo, and never counted as a
+        # simulation run
+        assert r.tally["failed"] == len(r.failures) == 2
+        assert r.memo_hits == r.sims_run == 0
         assert getattr(out2[0], "failed", False)
 
     def test_keep_going_env_variable(self, monkeypatch, cache):
@@ -397,12 +400,11 @@ class TestDeterminism:
         byte-identical with observers attached vs detached, serial vs
         pooled."""
         from repro.experiments import fig05
-        from repro.experiments.common import Runner
 
         def render(observe, jobs, sub):
             cache = ResultCache(root=str(tmp_path / sub), enabled=True)
-            runner = Runner(scale=SCALE, seed=SEED, jobs=jobs, cache=cache,
-                            observe=observe)
+            runner = ParallelRunner(scale=SCALE, seed=SEED, jobs=jobs,
+                                    cache=cache, observe=observe)
             return fig05.compute(runner).render(), runner
 
         bare, _ = render(None, 1, "bare")
@@ -452,22 +454,26 @@ class TestServingSatellites:
         assert default_jobs() >= 1
 
     def test_runner_sources_attribution(self, cache):
-        cfg = wb(1, 256)
+        spec = RunSpec("eon", SCALE, SEED, wb(1, 256))
         r = make_runner(cache, jobs=1)
-        r.run("eon", cfg)
-        assert r.sources[("eon", cfg)] == "sim"
-        r.run("eon", cfg)
-        assert r.sources[("eon", cfg)] == "memo"
+        r.run_many([spec])
+        assert r.sources[spec] == r.sources[run_key(spec)] == "sim"
+        r.run_many([spec])
+        assert r.sources[spec] == "memo"
         fresh = make_runner(cache, jobs=1)
-        fresh.run("eon", cfg)
-        assert fresh.sources[("eon", cfg)] == "disk"
+        fresh.run_many([spec])
+        assert fresh.sources[spec] == "disk"
+        # one entry per name a run answers to: the spec and its key
+        assert len(fresh.sources) == 2
 
     def test_runner_sources_mark_failures(self, cache):
         r = ParallelRunner(scale=SCALE, seed=SEED, jobs=1, cache=cache,
                            keep_going=True)
-        cfg = wb(1, 256)
-        r.run_many([RunSpec("nosuchkernel", SCALE, SEED, cfg)])
-        assert r.sources[("nosuchkernel", cfg)] == "failed"
+        spec = RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256))
+        r.run_many([spec])
+        assert r.sources[spec] == "failed"
+        assert r.tally == {"memo": 0, "disk": 0, "derived": 0, "sim": 0,
+                           "failed": 1}
 
     def test_pool_restart_counter_increments_on_retry(self, monkeypatch,
                                                       tmp_path):
@@ -490,4 +496,4 @@ class TestServingSatellites:
         make_runner(cache, jobs=1).run("eon", cfg)     # miss + put
         make_runner(cache, jobs=1).run("eon", cfg)     # disk hit
         totals = cache.load_counters()
-        assert totals["misses"] >= 1 and totals["hits"] >= 1
+        assert totals["sim"] == 1 and totals["disk"] == 1

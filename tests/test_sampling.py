@@ -356,8 +356,9 @@ class TestSharingAndOptIn(unittest.TestCase):
         with tempfile.TemporaryDirectory() as root:
             os.environ["REPRO_CACHE_DIR"] = root
             try:
-                from repro.experiments.common import Runner
-                r = Runner(scale=0.3, seed=1, jobs=1, sampling="auto")
+                from repro.runtime import ParallelRunner
+                r = ParallelRunner(scale=0.3, seed=1, jobs=1,
+                                   sampling="auto")
                 specs = [RunSpec("bzip2", 0.3, 1, policy=p)
                          for p in ("ci", "ci-iw", "vect")]
                 stats = r.run_many(specs)

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import run_kernel
-from repro.runtime import FailedResult, ResultCache, RunSpec
+from repro.runtime import FailedResult, ParallelRunner, ResultCache, RunSpec
 from repro.runtime import parallel as parallel_mod
 from repro.serve import protocol
 from repro.serve.client import (RemoteRunner, ServeClient, ServeError,
@@ -249,7 +249,8 @@ class TestMetrics:
         m.observe_latency(1.5)
         text = m.render_prometheus(
             {"depth": 2, "inflight": 1, "queued_tickets": 2},
-            {"sims_run": 5, "disk_hits": 4, "memo_hits": 3}, "ok")
+            {"sim": 5, "disk": 4, "memo": 3, "derived": 0, "failed": 0},
+            "ok")
         assert "repro_up 1" in text
         assert 'repro_server_state{state="ok"} 1' in text
         assert "repro_jobs_submitted_total 3" in text
@@ -261,7 +262,8 @@ class TestMetrics:
     def test_healthz_snapshot(self):
         m = ServerMetrics()
         snap = m.snapshot({"depth": 0, "inflight": 0, "queued_tickets": 0},
-                          {"sims_run": 2, "disk_hits": 1, "memo_hits": 0},
+                          {"sim": 2, "disk": 1, "memo": 0, "derived": 0,
+                           "failed": 1},
                           state="draining", jobs=4)
         assert snap["status"] == "draining"
         assert snap["cache_hits"] == 1
@@ -338,10 +340,10 @@ class TestServerEndToEnd:
         stats_b = [SimStats.from_dict(s) for _, s in b]
         assert stats_a == stats_b
         # each distinct job simulated exactly once across both clients
-        assert server.executor.totals()["sims_run"] == len(specs)
+        assert server.executor.tally()["sim"] == len(specs)
         coalesced = server.metrics.counters["jobs_coalesced"]
-        cached = (server.executor.totals()["disk_hits"]
-                  + server.executor.totals()["memo_hits"])
+        cached = (server.executor.tally()["disk"]
+                  + server.executor.tally()["memo"])
         assert coalesced + cached >= len(specs)
 
     def test_warm_resubmit_hits_memo_not_pool(self, tmp_path):
@@ -355,7 +357,7 @@ class TestServerEndToEnd:
 
         status = _drive(server, drive)
         assert status.source in ("memo", "disk")
-        assert server.executor.totals()["sims_run"] == 1
+        assert server.executor.tally()["sim"] == 1
 
     def test_bad_kernel_fails_cleanly(self, tmp_path):
         def drive(client):
@@ -426,7 +428,7 @@ class TestServerEndToEnd:
         assert bad.state == protocol.FAILED
         assert bad.error.kind == "bad-request"
         assert "nosuchkernel" in bad.error.message
-        assert server.executor.totals()["sims_run"] == 2
+        assert server.executor.tally()["sim"] == 2
 
     def test_graceful_drain_cancels_queued_jobs(self, tmp_path):
         """Shutdown with queued work: queued tickets go cancelled, the
@@ -471,6 +473,54 @@ class TestServerEndToEnd:
         assert st.state == protocol.CANCELLED
 
 
+# -- the one source record ---------------------------------------------------
+
+class TestOneSourceRecord:
+    """One failing and two good jobs, run locally (keep-going) and through
+    a daemon: every rendering of the runners' source record agrees, and
+    the failure counts as ``failed``, never as a simulation."""
+
+    SPECS = [RunSpec("gzip", SCALE, SEED), RunSpec("mcf", SCALE, SEED),
+             RunSpec("gzip", SCALE, SEED, faults="crash@100")]
+    RECORD = {"memo": 0, "disk": 0, "derived": 0, "sim": 2, "failed": 1}
+
+    def test_local_and_served_renderings_agree(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro.cli import main
+        local_cache = ResultCache(root=str(tmp_path / "local"), enabled=True)
+        local = ParallelRunner(scale=SCALE, seed=SEED, jobs=1,
+                               cache=local_cache, keep_going=True)
+        out = local.run_many(self.SPECS)
+        assert [getattr(st, "failed", False) for st in out] \
+            == [False, False, True]
+        assert local.tally == self.RECORD
+        summary = local.runtime_summary()
+        assert summary.startswith("runtime: 2 simulation(s) run")
+        assert summary.endswith("0 derived, 1 FAILED")
+        assert local_cache.load_counters() == self.RECORD
+        monkeypatch.setenv("REPRO_CACHE_DIR", local_cache.root)
+        assert main(["cache", "info"]) == 0
+        info = capsys.readouterr().out
+        assert "sim        : 2" in info and "failed     : 1" in info
+
+        server = _serve_fixture(tmp_path)
+
+        def drive(client):
+            runner = RemoteRunner(client.base_url, scale=SCALE, seed=SEED,
+                                  keep_going=True)
+            runner.run_many(self.SPECS)
+            return runner, client.health(), client.metrics_text()
+
+        remote, health, metrics = _drive(server, drive)
+        assert remote.runtime_summary() == (
+            f"runtime: 3 job(s) served by {remote.client.base_url}, "
+            f"2 sim, 1 FAILED")
+        assert server.executor.tally() == self.RECORD
+        assert (health["sims_run"], health["cache_hits"]) == (2, 0)
+        assert "\nrepro_sims_total 2\n" in metrics
+        assert server.executor.cache.load_counters() == self.RECORD
+
+
 # -- RemoteRunner -----------------------------------------------------------
 
 class TestRemoteRunner:
@@ -488,7 +538,7 @@ class TestRemoteRunner:
         first, again, runner = _drive(server, drive)
         assert first == expected and again == expected
         assert runner.memo_hits == 1
-        assert runner.server_sources.get("sim") == 1
+        assert runner.tally["sim"] == 1
         assert "served by" in runner.runtime_summary()
 
     def test_remote_runner_keep_going_collects_failures(self, tmp_path):
@@ -578,7 +628,7 @@ class TestCrashRecovery:
             assert SimStats.from_dict(stats) == expected[kernel]
         done_status = outcomes[0][0]
         assert done_status.source in ("disk", "memo")
-        assert server2.executor.totals()["sims_run"] == 1   # mcf only
+        assert server2.executor.tally()["sim"] == 1   # mcf only
 
         # The journal's whole history audits clean.
         replay = replay_journal(jpath, quarantine=False)
@@ -668,7 +718,7 @@ class TestCrashRecovery:
         assert [st.state for st, _ in outcomes] == [protocol.DONE] * 2
         assert breaker.state == CircuitBreaker.OK
         assert server.metrics.counters["jobs_rejected_degraded"] == 1
-        assert server.executor.totals()["sims_run"] == 2
+        assert server.executor.tally()["sim"] == 2
 
     def test_replays_journal_written_by_v1_server(self, tmp_path):
         """A v1 ``accepted`` record carries ``priority``/``client`` in
@@ -706,7 +756,7 @@ class TestCrashRecovery:
         assert status.state == protocol.DONE
         assert SimStats.from_dict(stats) == run_kernel(
             "gzip", ProcessorConfig(), scale=SCALE, seed=SEED)
-        assert server.executor.totals()["sims_run"] == 1
+        assert server.executor.tally()["sim"] == 1
         assert replay_journal(jpath, quarantine=False).consistent
 
     def test_chaos_drop_reconnects_and_coalesces(self, tmp_path):
@@ -739,7 +789,7 @@ class TestCrashRecovery:
 
         stats = _drive(server, drive)
         assert SimStats.from_dict(stats) == expected
-        assert server.executor.totals()["sims_run"] == 1
+        assert server.executor.tally()["sim"] == 1
 
 
 class _Entry:
@@ -829,7 +879,7 @@ class TestRuntimeRetries:
         assert server.breaker.state == CircuitBreaker.OK
         assert server.metrics.counters["circuit_trips"] == 0
         assert parallel_mod.pool_restart_count() - before == 2
-        assert server.executor.totals()["sims_run"] == len(specs)
+        assert server.executor.tally()["sim"] == len(specs)
 
     def test_exhausted_budget_fails_jobs_and_opens_breaker(
             self, tmp_path, monkeypatch):
