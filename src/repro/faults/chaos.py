@@ -28,7 +28,9 @@ Spec grammar (the ``repro chaos --plan`` syntax)::
 
 Positions are *progress points*: an event armed ``@N`` fires once the
 client has collected N results (``mid`` = half the sweep, ``end`` = the
-last job, unpinned = drawn from ``random.Random(seed)``).  The daemon
+last job, unpinned = drawn from ``random.Random(seed)``, except that an
+unpinned ``kill-worker`` arms at the start: see :meth:`ChaosSpec.trigger`).
+The daemon
 under test runs as a real subprocess (``python -m repro serve``) with
 tiny batches (``--batch-max 2``) so a kill genuinely lands mid-sweep
 while pool workers still exist to be killed, an isolated
@@ -112,7 +114,13 @@ class ChaosSpec:
             return last
         if self.pos:
             return min(int(self.pos), last)
-        return rng.randrange(0, max(1, total))
+        drawn = rng.randrange(0, max(1, total))
+        # A pool exists only while the daemon runs a fresh multi-job
+        # batch, and it runs ahead of the client's progress (a slow
+        # client or a restart lets it finish the sweep from its cache),
+        # so an unpinned kill-worker arms at the start; it still draws,
+        # keeping the other events' seeded positions.
+        return 0 if self.kind == "kill-worker" else drawn
 
 
 class ChaosPlan:

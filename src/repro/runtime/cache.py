@@ -79,6 +79,11 @@ CHECKPOINT_SUBDIR = "checkpoints"
 #: source record; excluded from entry walks by name
 COUNTERS_FILE = "counters.json"
 
+#: where a resolved run's result came from, in rendering order: the
+#: names of a runner's one source record (``ParallelRunner.tally``) and
+#: the only keys :data:`COUNTERS_FILE` keeps
+SOURCES = ("memo", "disk", "derived", "sim", "failed")
+
 
 def default_cache_dir() -> str:
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -214,11 +219,12 @@ class ResultCache:
 
     def load_counters(self) -> Dict[str, int]:
         """The persisted lifetime record (empty when absent/unreadable;
-        a name it lacks reads as zero)."""
+        a name it lacks reads as zero, a key outside :data:`SOURCES` is
+        dropped)."""
         try:
             with open(self._counters_path()) as fh:
                 data = json.load(fh)
-            return {k: int(v) for k, v in data.items()}
+            return {k: int(data[k]) for k in SOURCES if k in data}
         except (OSError, ValueError, TypeError, AttributeError):
             return {}
 

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..uarch import ProcessorConfig, SimStats
 from ..workloads import kernel_names
-from .cache import ResultCache
+from .cache import SOURCES, ResultCache
 from .keys import cached_program, capacity_group, run_key
 from .spec import RunSpec
 
@@ -300,6 +300,30 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
         pass
 
 
+def _join_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
+    """Shut a pool whose futures are all done, without hanging on a
+    worker that can no longer exit.
+
+    A worker killed from outside during the executor's own shutdown
+    (while it holds the call queue's read lock, waiting for its exit
+    sentinel) wedges its siblings on that lock, and the executor then
+    joins them forever.  Every result is in by now, so workers that
+    outlive ``grace`` seconds are killed."""
+    manager = getattr(pool, "_executor_manager_thread", None)
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False)
+    if manager is None:
+        return
+    manager.join(grace)
+    if manager.is_alive():
+        for proc in workers:
+            try:
+                proc.kill()
+            except OSError:  # pragma: no cover - already reaped
+                pass
+        manager.join()
+
+
 def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                    results: List[_Slot], n_workers: int,
                    timeout: Optional[float]) -> List[int]:
@@ -374,6 +398,7 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                                                             f.result()):
                             results[i] = _Failure("worker", err) \
                                 if err is not None else (stats, payload)
+                _join_pool(pool)
             except KeyboardInterrupt:
                 # Ctrl-C drain: kill the workers *before* the executor's
                 # __exit__ tries to join them (that join would otherwise
@@ -516,11 +541,6 @@ def _is_interval_token(text: Optional[str]) -> bool:
         return False
     from ..sampling.plan import is_interval_token
     return is_interval_token(text)
-
-
-#: where a resolved run's result came from, in rendering order: the
-#: names of a runner's one source record (``ParallelRunner.tally``)
-SOURCES = ("memo", "disk", "derived", "sim", "failed")
 
 
 class ParallelRunner:

@@ -345,8 +345,9 @@ class RemoteRunner(ParallelRunner):
     The local memo still deduplicates within the process; everything
     else — disk cache, worker pool, coalescing — lives on the server.
     The inherited source record counts a local memo hit as ``memo`` and
-    every served job under the daemon's per-job ``source``, so
-    ``runtime_summary`` stays honest about where results came from.
+    every served job under the daemon's per-job ``source``;
+    ``runtime_summary`` prints the local hits apart from the served
+    jobs, so it stays honest about where results came from.
     """
 
     def __init__(self, addr: str, scale: float, seed: int,
@@ -411,11 +412,20 @@ class RemoteRunner(ParallelRunner):
         return [resolved[spec] for spec in order]
 
     def runtime_summary(self) -> str:
-        """One-line rendering of the source record (nonzero names)."""
-        parts = [f"runtime: {sum(self.tally.values())} job(s) served by "
+        """One-line rendering of the source record (nonzero names).
+
+        Every served job either entered the spec memo or was kept as a
+        failure, so the rest of the record's ``memo`` are local hits
+        that never reached the daemon."""
+        served = len(self._spec_memo) + len(self.failures)
+        local = sum(self.tally.values()) - served
+        counts = dict(self.tally, memo=self.tally["memo"] - local)
+        parts = [f"runtime: {served} job(s) served by "
                  f"{self.client.base_url}"]
-        parts.extend(f"{n} {source}" for source, n in self.tally.items()
+        parts.extend(f"{n} {source}" for source, n in counts.items()
                      if n and source != "failed")
-        if self.tally["failed"]:
-            parts.append(f"{self.tally['failed']} FAILED")
+        if local:
+            parts.append(f"{local} local memo hit(s)")
+        if counts["failed"]:
+            parts.append(f"{counts['failed']} FAILED")
         return ", ".join(parts)

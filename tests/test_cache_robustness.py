@@ -233,6 +233,16 @@ class TestCacheCounters:
         assert cache.load_counters() == {}
         assert cache.info()["counters"] == {}
 
+    def test_legacy_counter_keys_are_dropped_on_merge(self, cache):
+        os.makedirs(cache.root, exist_ok=True)
+        path = os.path.join(cache.root, "counters.json")
+        with open(path, "w") as fh:
+            fh.write('{"hits": 4, "misses": 2, "coalesced": 1, "sim": 3}')
+        assert cache.load_counters() == {"sim": 3}
+        assert cache.merge_counters({"sim": 1})
+        with open(path) as fh:
+            assert json.load(fh) == {"sim": 4}
+
     def test_unreadable_counters_file_reads_as_zero(self, cache):
         cache.merge_counters({"sim": 1})
         with open(os.path.join(cache.root, "counters.json"), "w") as fh:

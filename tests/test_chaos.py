@@ -85,6 +85,17 @@ class TestTriggerResolution:
         assert [t for t, _ in other.resolve(12)] != [t for t, _ in first] \
             or other.resolve(12) != first
 
+    def test_unpinned_kill_worker_arms_at_the_start(self):
+        # seed 1 draws kill-worker@9 of 12: by then the daemon has
+        # finished the sweep and no pool is left to kill
+        plan = ChaosPlan.parse(DEFAULT_PLAN + ",seed=1")
+        # ... and the other events keep their seeded positions
+        assert {s.kind: t for t, s in plan.resolve(12)} == {
+            "kill-worker": 0, "drop-conn": 1, "slow-client": 1,
+            "kill-server": 2, "corrupt-journal": 4,
+            "malformed-envelope": 7}
+        assert ChaosSpec("kill-worker", "mid").trigger(12, None) == 6
+
     def test_resolve_single_job_sweep(self):
         plan = ChaosPlan.parse(DEFAULT_PLAN)
         for trigger, _ in plan.resolve(1):

@@ -283,6 +283,23 @@ class TestResilience:
         assert all(st.committed > 0 for st, _ in out)   # recovered
         assert parallel_mod.pool_restart_count() - before == 1
 
+    def test_finished_pool_shutdown_cannot_hang_on_a_wedged_worker(self):
+        # A stopped worker never reads its exit sentinel (and may hold
+        # the call queue's read lock its siblings need), so a plain
+        # shutdown(wait=True) joins forever; _join_pool kills it.
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("fork"))
+        assert list(pool.map(abs, [-1, -2])) == [1, 2]
+        workers = list(pool._processes.values())
+        os.kill(workers[0].pid, signal.SIGSTOP)
+        start = time.monotonic()
+        parallel_mod._join_pool(pool, grace=0.5)
+        assert time.monotonic() - start < 30
+        assert not any(w.is_alive() for w in workers)
+
     def test_permanent_failures_are_not_retried(self):
         # One pass only: a worker traceback is deterministic.
         jobs = [RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256))]

@@ -539,7 +539,9 @@ class TestRemoteRunner:
         assert first == expected and again == expected
         assert runner.memo_hits == 1
         assert runner.tally["sim"] == 1
-        assert "served by" in runner.runtime_summary()
+        assert runner.runtime_summary() == (
+            f"runtime: 1 job(s) served by {runner.client.base_url}, "
+            f"1 sim, 1 local memo hit(s)")
 
     def test_remote_runner_keep_going_collects_failures(self, tmp_path):
         def drive(client):
