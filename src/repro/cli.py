@@ -549,10 +549,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .runtime.profiling import profile_kernel
-    limit = args.top if args.top is not None else args.limit
     stats, report = profile_kernel(
         args.kernel, make_config(args), scale=args.scale, seed=args.seed,
-        sort=args.sort, limit=limit)
+        sort=args.sort, limit=args.limit)
     header = (f"{args.kernel}: {stats.committed} committed / {stats.cycles} "
               f"cycles (IPC {stats.ipc:.3f})")
     print(header)
@@ -806,8 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="cumulative", help="pstats sort order")
     pp.add_argument("--limit", type=int, default=30,
                     help="rows of the profile to print")
-    pp.add_argument("--top", type=int, default=None, metavar="N",
-                    help="rows of the profile to print (overrides --limit)")
     pp.add_argument("--out", metavar="FILE", default=None,
                     help="also write the profile report to FILE")
     pp.set_defaults(fn=cmd_profile)

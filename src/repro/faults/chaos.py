@@ -392,8 +392,8 @@ class ChaosReport:
     server_kills: int = 0
     #: client resilience events (reconnects, reattaches, degraded)
     client_events: List[str] = field(default_factory=list)
-    #: restart-related ``/metrics`` lines from the final incarnation
-    metrics_lines: List[str] = field(default_factory=list)
+    #: worker-pool rebuilds of the final incarnation (``/healthz``)
+    worker_restarts: Optional[int] = None
 
     @property
     def verdict(self) -> str:
@@ -442,9 +442,9 @@ class ChaosReport:
                          "reference")
         for failure in self.failures:
             lines.append(f"    failed: {failure}")
-        if self.metrics_lines:
-            lines.append(f"metrics         : "
-                         f"{', '.join(self.metrics_lines)}")
+        if self.worker_restarts is not None:
+            lines.append(f"worker restarts : {self.worker_restarts} "
+                         f"(final incarnation)")
         lines.append(f"verdict         : {self.verdict}")
         return "\n".join(lines)
 
@@ -572,12 +572,8 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
     try:
         outcomes = client.run(specs, poll=0.05, on_poll=on_poll)
         try:
-            for line in client.metrics_text().splitlines():
-                if re.match(r"repro_(server_restarts|worker_restarts|"
-                            r"journal_records|journal_quarantined|"
-                            r"jobs_replayed)_total ", line):
-                    report.metrics_lines.append(line)
-        except Exception:   # metrics are diagnostics, not the contract
+            report.worker_restarts = client.health()["worker_restarts"]
+        except Exception:   # diagnostics, not the contract
             pass
     finally:
         driver.stop()

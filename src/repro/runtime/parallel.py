@@ -35,7 +35,7 @@ capacity sweep point (register file, speculative data memory) is also
 answered without simulating when a larger sibling's pools provably
 never bound (DESIGN §9.7).  Each runner keeps one record of where its
 results came from (:data:`SOURCES`); the runtime summary, the serving
-layer's metrics and ``repro cache info`` all render that record.
+layer's ``/healthz`` and ``repro cache info`` all render that record.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def default_jobs() -> int:
 
 #: process-wide count of retry passes that rebuilt the worker pool after
 #: a transient failure (stall timeout / executor breakage); the serving
-#: layer reports it as its ``worker restarts`` metric
+#: layer reports it as ``/healthz`` ``worker_restarts``
 _pool_restarts = 0
 
 
@@ -576,8 +576,6 @@ class ParallelRunner:
         self.seed = seed
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self.cache = ResultCache() if cache is None else cache
-        if observe is None:
-            observe = os.environ.get("REPRO_OBSERVE") or None
         #: observer spec applied to every simulation this runner executes
         #: (cached results carry no events, so observing bypasses the
         #: memo/disk lookups and re-simulates — stats stay identical)
@@ -596,8 +594,8 @@ class ParallelRunner:
         #: FailedResult placeholders collected under ``keep_going``
         self.failures: List[FailedResult] = []
         #: where each resolved run last came from (a :data:`SOURCES`
-        #: name), by spec and, when the program builds, by canonical run
-        #: key — the serving layer looks its jobs up by key
+        #: name), by canonical run key (by spec when the program won't
+        #: build) — the serving layer looks its jobs up by key
         self.sources: Dict[object, str] = {}
         #: resolutions per source name; a thin client adds the daemon's
         #: ``coalesced``
@@ -660,11 +658,9 @@ class ParallelRunner:
     disk_hits = property(lambda self: self.tally["disk"])
     derived = property(lambda self: self.tally["derived"])
 
-    def _note_source(self, ident: object, spec: RunSpec, src: str) -> None:
+    def _note_source(self, ident: object, src: str) -> None:
         """Record where one run's result came from (the only counter)."""
-        self.sources[spec] = src
-        if isinstance(ident, str):
-            self.sources[ident] = src
+        self.sources[ident] = src
         self.tally[src] = self.tally.get(src, 0) + 1
 
     def _persist_tally(self) -> None:
@@ -714,12 +710,12 @@ class ParallelRunner:
             if reads_ok:
                 st = self._memo.get(key)
                 if st is not None:
-                    self._note_source(ident, spec, "memo")
+                    self._note_source(ident, "memo")
                     resolved[ident] = st
                     continue
                 st = self.cache.get(key)
                 if st is not None:
-                    self._note_source(ident, spec, "disk")
+                    self._note_source(ident, "disk")
                     self._memo[key] = resolved[ident] = st
                     self._index(spec, st)
                     continue
@@ -737,9 +733,9 @@ class ParallelRunner:
                 resolved[ident] = st
                 if isinstance(st, FailedResult):
                     self.failures.append(st)
-                    self._note_source(ident, spec, "failed")
+                    self._note_source(ident, "failed")
                     continue
-                self._note_source(ident, spec, "sim")
+                self._note_source(ident, "sim")
                 if isinstance(ident, str):
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
@@ -797,13 +793,13 @@ class ParallelRunner:
                     # A hole, not a result: report it, never cache it,
                     # never derive from it.
                     failures.append(st)
-                    self._note_source(ident, spec, "failed")
+                    self._note_source(ident, "failed")
                     if self.keep_going:
                         self.failures.append(st)
                         resolved[ident] = st
                     continue
                 resolved[ident] = st
-                self._note_source(ident, spec, "sim")
+                self._note_source(ident, "sim")
                 if isinstance(ident, str) and spec.faults is None:
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
@@ -835,11 +831,11 @@ class ParallelRunner:
                 break
         else:
             return False
-        ident, spec = item
+        ident = item[0]
         st = replace(src, regs_slack=src.regs_slack - gap_regs,
                      spec_mem_slack=src.spec_mem_slack - gap_positions,
                      interval_committed=list(src.interval_committed))
-        self._note_source(ident, spec, "derived")
+        self._note_source(ident, "derived")
         self._memo[ident] = resolved[ident] = st
         siblings[caps] = st
         return True

@@ -58,7 +58,8 @@ class RunSpec:
     #: part of the run's identity — perturbed results never collide with
     #: clean ones
     faults: Optional[str] = None
-    #: observer spec (``"timeline"``, ``"summary:occupancy"``); watches a
+    #: observer spec, a comma list of ``cpi``, ``audit``, ``trace`` and
+    #: ``null`` (:func:`repro.observe.observer_names`); watches a
     #: run without changing it, so it is excluded from the cache key —
     #: but observed runs bypass cache *reads* so the observer really runs
     observe: Optional[str] = None

@@ -12,8 +12,8 @@ re-executing it.
 Modules: ``protocol`` (versioned wire types), ``queue`` (arrival-order
 FIFO + coalescing), ``scheduler`` (dispatch + circuit breaker),
 ``journal`` (the crash-safety write-ahead log), ``server`` (asyncio
-front end and its bounded-depth admission check), ``client`` (resilient
-wire client + thin-client runner), ``metrics`` (Prometheus / healthz).
+front end, its bounded-depth admission check and ``/healthz``),
+``client`` (resilient wire client + thin-client runner).
 Import names from those modules: the package itself loads nothing, so
 using one module never pulls in the daemon, ``asyncio`` or
 ``http.client``.

@@ -225,22 +225,9 @@ class ServeClient:
         stats = env.get("stats")
         return job, stats if isinstance(stats, dict) else None
 
-    def cancel(self, job_id: str) -> bool:
-        status, raw = self._request(
-            "POST", f"{protocol.API_PREFIX}/cancel",
-            {"v": protocol.PROTOCOL_VERSION, "id": job_id})
-        env = self._envelope(status, raw)
-        return bool(env.get("cancelled"))
-
     def health(self) -> dict:
         status, raw = self._request("GET", "/healthz")
         return self._envelope(status, raw)
-
-    def metrics_text(self) -> str:
-        status, raw = self._request("GET", "/metrics")
-        if status != 200 or not isinstance(raw, str):
-            raise ServeError(f"metrics endpoint answered HTTP {status}")
-        return raw
 
     # -- convenience -----------------------------------------------------
     def run(self, specs: Sequence[RunSpec],
@@ -385,7 +372,7 @@ class RemoteRunner(ParallelRunner):
                 continue
             st = self._spec_memo.get(spec)
             if st is not None:
-                self._note_source(spec, spec, "memo")
+                self._note_source(spec, "memo")
                 resolved[spec] = st
                 continue
             pending.append(spec)
@@ -395,8 +382,7 @@ class RemoteRunner(ParallelRunner):
                 if status.state == protocol.DONE and stats is not None:
                     st = SimStats.from_dict(stats)
                     self._spec_memo[spec] = resolved[spec] = st
-                    self._note_source(spec, spec,
-                                      status.source or status.state)
+                    self._note_source(spec, status.source or status.state)
                     continue
                 err = status.error or ErrorInfo(
                     kind="failed", message=f"job ended {status.state} "
@@ -407,7 +393,7 @@ class RemoteRunner(ParallelRunner):
                     raise ServeError(f"remote job failed: "
                                      f"{failed.describe()}")
                 self.failures.append(failed)
-                self._note_source(spec, spec, "failed")
+                self._note_source(spec, "failed")
                 resolved[spec] = failed
         return [resolved[spec] for spec in order]
 

@@ -52,7 +52,7 @@ ACCEPTED = "accepted"           #: job admitted; record carries the spec
 STARTED = "started"             #: job handed to the executor
 COMPLETED = "completed"         #: job finished with stats (carries source)
 FAILED = "failed"               #: job finished with an error envelope
-CANCELLED = "cancelled"         #: client cancel / drain (v1: also shed)
+CANCELLED = "cancelled"         #: drain / bad replay (older: client cancel)
 
 #: events that end a job's lifecycle
 TERMINAL_EVENTS = (COMPLETED, FAILED, CANCELLED)

@@ -1,7 +1,7 @@
 """Wire protocol for the simulation service (version 2).
 
 The daemon speaks a minimal HTTP/1.1 + JSON dialect (stdlib only, one
-request per connection).  Endpoints, all rooted at ``/v1``:
+request per connection).  Endpoints (the job API is rooted at ``/v1``):
 
 ========================  =====================================================
 ``POST /v1/submit``       submit a batch of run specs (:func:`wire_dict`);
@@ -10,11 +10,11 @@ request per connection).  Endpoints, all rooted at ``/v1``:
 ``GET  /v1/status?id=``   current :class:`JobStatus` of one submission
 ``GET  /v1/result?id=``   terminal result: ``SimStats`` payload or an
                           :class:`ErrorInfo` envelope
-``POST /v1/cancel``       cancel a *queued* submission (running/terminal jobs
-                          report their state instead)
-``GET  /healthz``         JSON liveness + load snapshot
-``GET  /metrics``         Prometheus text format
+``GET  /healthz``         the daemon's state (HTTP 200 ``ok``, 503 otherwise),
+                          queue, counters and source record
 ========================  =====================================================
+
+Any other path answers 404 with a ``not-found`` error envelope.
 
 Every JSON body carries ``"v": PROTOCOL_VERSION`` and ``"ok"``; failures
 use one explicit error envelope (:class:`ErrorInfo`) whose ``kind``
@@ -126,7 +126,7 @@ class ErrorInfo:
     * ``draining``  — the daemon is shutting down and admits nothing new
     * ``failed``    — the simulation failed; ``phase``/``attempts`` carry
       the runtime failure classification (worker / timeout / pool)
-    * ``cancelled`` — cancelled by the client or by a drain
+    * ``cancelled`` — cancelled by a drain before it was dispatched
     * ``bad-request`` / ``not-found`` / ``unsupported-version`` —
       protocol-level problems
     """

@@ -45,11 +45,9 @@ class Ticket:
     """One client-visible submission (identified by ``id``)."""
 
     __slots__ = ("id", "spec", "key", "state", "source", "error", "stats",
-                 "submitted_at", "started_at", "finished_at", "coalesced",
-                 "replayed")
+                 "coalesced")
 
-    def __init__(self, spec: RunSpec, key: str, now: float,
-                 replayed: bool = False):
+    def __init__(self, spec: RunSpec, key: str):
         self.id = _new_ticket_id()
         self.spec = spec
         self.key = key
@@ -57,15 +55,8 @@ class Ticket:
         self.source = ""
         self.error: Optional[ErrorInfo] = None
         self.stats: Optional[dict] = None     # SimStats.to_dict payload
-        self.submitted_at = now
-        self.started_at = 0.0
-        self.finished_at = 0.0
         #: True when this ticket attached to an entry that already existed
         self.coalesced = False
-        #: True for a server-owned ticket resurrected by journal replay
-        #: (no client holds its id; it exists so the re-enqueued job has
-        #: a well-formed entry for resubmitting clients to coalesce on)
-        self.replayed = replayed
 
     def status(self) -> JobStatus:
         return JobStatus(id=self.id, kernel=self.spec.kernel,
@@ -122,8 +113,6 @@ class ServeQueue:
         entry.tickets.append(ticket)
         ticket.coalesced = True
         ticket.state = entry.state
-        if entry.state == protocol.RUNNING:
-            ticket.started_at = ticket.submitted_at
         return entry
 
     def push(self, ticket: Ticket) -> Entry:
@@ -154,25 +143,7 @@ class ServeQueue:
         self.entries.pop(entry.key, None)
         self.inflight -= 1
 
-    # -- cancellation ----------------------------------------------------
-    def cancel(self, ticket: Ticket) -> bool:
-        """Detach a *queued* ticket; True when it was cancelled.
-
-        Cancelling the last ticket of an entry removes the entry; a
-        coalesced sibling keeps the entry alive.  Running or terminal
-        tickets are not cancellable (the pool owns them).
-        """
-        if ticket.state != protocol.QUEUED:
-            return False
-        entry = self.entries.get(ticket.key)
-        if entry is None or ticket not in entry.tickets:
-            return False
-        entry.tickets.remove(ticket)
-        if not entry.tickets:
-            self._fifo.remove(entry)
-            del self.entries[entry.key]
-        return True
-
+    # -- shutdown --------------------------------------------------------
     def drain(self) -> List[Entry]:
         """Remove every queued entry (shutdown path); returns them."""
         drained = list(self._fifo)

@@ -37,7 +37,6 @@ from ..runtime import (SOURCES, TRANSIENT_PHASES, FailedResult,
                        ParallelRunner, ResultCache, RunSpec, default_retries)
 from . import protocol
 from .journal import COMPLETED, FAILED, JobJournal
-from .metrics import ServerMetrics
 from .protocol import ErrorInfo
 from .queue import Entry, ServeQueue
 
@@ -179,9 +178,11 @@ class SimExecutor:
             for entry, st in zip(group, stats):
                 outcome[entry.key] = (st,
                                       runner.sources.get(entry.key, "sim"))
-            # Error envelopes carry each failure; don't let the daemon's
-            # keep-going ledger grow without bound.
+            # Error envelopes carry each failure and the outcome each
+            # source: don't let the long-lived runners' ledgers grow (a
+            # sampled job also leaves its interval runs' sources).
             runner.failures.clear()
+            runner.sources.clear()
         return outcome
 
     # -- accounting ------------------------------------------------------
@@ -199,12 +200,13 @@ class Dispatcher:
     """The async dispatch loop (one in-flight batch at a time)."""
 
     def __init__(self, queue: ServeQueue, executor: SimExecutor,
-                 metrics: ServerMetrics, batch_max: int = 32,
+                 counters: Dict[str, int], batch_max: int = 32,
                  breaker: Optional[CircuitBreaker] = None,
                  journal: Optional[JobJournal] = None):
         self.queue = queue
         self.executor = executor
-        self.metrics = metrics
+        #: the server's counters (``ServeServer.counters``)
+        self.counters = counters
         self.batch_max = max(1, batch_max)
         self.breaker = CircuitBreaker() if breaker is None else breaker
         self.journal = journal
@@ -235,10 +237,6 @@ class Dispatcher:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            now = time.monotonic()
-            for entry in entries:
-                for t in entry.tickets:
-                    t.started_at = t.started_at or now
             if self.journal is not None:
                 self.journal.note_started([e.key for e in entries])
             try:
@@ -253,12 +251,11 @@ class Dispatcher:
                     e.spec.kernel, e.spec.scale, e.spec.seed, error=err,
                     phase="pool"), "failed") for e in entries}
             if self.breaker.note_batch(entries, outcome):
-                self.metrics.inc("circuit_trips")
+                self.counters["circuit_trips"] += 1
             self._finish(entries, outcome)
 
     def _finish(self, entries: List[Entry],
                 outcome: Dict[str, Tuple[object, str]]) -> None:
-        now = time.monotonic()
         terminal: List[Tuple[str, str, Dict[str, object]]] = []
         for entry in entries:
             result, source = outcome.get(
@@ -274,17 +271,15 @@ class Dispatcher:
                 terminal.append((COMPLETED, entry.key,
                                  {"source": source}))
             for i, ticket in enumerate(entry.tickets):
-                ticket.finished_at = now
                 ticket.source = source if i == 0 else "coalesced"
                 if failed:
                     ticket.state = protocol.FAILED
                     ticket.error = ErrorInfo.from_failed_result(result)
-                    self.metrics.inc("jobs_failed")
+                    self.counters["jobs_failed"] += 1
                 else:
                     ticket.state = protocol.DONE
                     ticket.stats = result.to_dict()
-                    self.metrics.inc("jobs_completed")
-                self.metrics.observe_latency(now - ticket.submitted_at)
+                    self.counters["jobs_completed"] += 1
             self.queue.finish(entry)
         if self.journal is not None:
             # One durability point for the whole batch's terminal

@@ -8,6 +8,11 @@ long-lived :class:`~.scheduler.SimExecutor` (warm runners + disk cache).
 Connections are one-request (``Connection: close``) — clients poll, the
 daemon stays simple, and there is no connection state to drain.
 
+``GET /healthz`` is the daemon's one telemetry face: its state (HTTP 200
+for ``ok``, 503 otherwise), the queue, the ``jobs_*`` counters, the
+executor's merged source record and worker-pool rebuilds.  Per-run
+observability stays with ``--observe`` on a local run.
+
 Admission is bounded-depth backpressure.  Like *variable instruction
 fetch rate* throttling fetch under branch uncertainty, the server
 throttles intake under load instead of melting down: a submission that
@@ -33,16 +38,14 @@ import asyncio
 import json
 import signal
 import sys
-import time
 import traceback
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..runtime import ResultCache
+from ..runtime import ResultCache, pool_restart_count
 from . import protocol
 from .journal import JobJournal, JournalReplay
-from .metrics import ServerMetrics
 from .protocol import ErrorInfo, ProtocolError
 from .queue import ServeQueue, Ticket
 from .scheduler import CircuitBreaker, Dispatcher, SimExecutor
@@ -52,6 +55,13 @@ MAX_BODY = 16 * 1024 * 1024
 
 #: finished tickets kept addressable for late pollers
 FINISHED_CAP = 4096
+
+#: the server's counters (zero until first increment)
+COUNTER_NAMES = (
+    "requests", "jobs_submitted", "jobs_coalesced", "jobs_completed",
+    "jobs_failed", "jobs_cancelled", "jobs_rejected", "jobs_replayed",
+    "jobs_rejected_degraded", "circuit_trips",
+)
 
 #: seconds a client waits before resubmitting to a full queue (a full
 #: queue at the default depth holds minutes of simulation)
@@ -86,7 +96,8 @@ class ServeServer:
         self.queue = ServeQueue()
         self.executor = SimExecutor(cache=cache, jobs=jobs,
                                     timeout=timeout, retries=retries)
-        self.metrics = ServerMetrics()
+        #: admission and ticket outcomes (:data:`COUNTER_NAMES`)
+        self.counters: Dict[str, int] = dict.fromkeys(COUNTER_NAMES, 0)
         #: admission bound: queued entries beyond this are refused
         self.queue_depth = max(1, queue_depth)
         #: the write-ahead log; None disables crash safety (tests,
@@ -96,7 +107,7 @@ class ServeServer:
         self.journal: Optional[JobJournal] = journal
         self.breaker = CircuitBreaker() if breaker is None else breaker
         self.dispatcher = Dispatcher(self.queue, self.executor,
-                                     self.metrics, batch_max=batch_max,
+                                     self.counters, batch_max=batch_max,
                                      breaker=self.breaker,
                                      journal=self.journal)
         self.grace = grace
@@ -114,7 +125,9 @@ class ServeServer:
     # -- state -----------------------------------------------------------
     @property
     def state(self) -> str:
-        """The structured ``/healthz`` state (see metrics.SERVER_STATES)."""
+        """The structured ``/healthz`` state: ``ok``,
+        ``replaying-journal``, ``degraded:circuit-open`` or
+        ``draining``."""
         if self.draining:
             return "draining"
         if self.replaying:
@@ -123,17 +136,27 @@ class ServeServer:
             return f"degraded:{self.breaker.state}"
         return "ok"
 
-    def _journal_info(self) -> Optional[Dict[str, int]]:
-        if self.journal is None:
-            return None
-        replay = self.journal_replay
-        return {
-            # epochs counts this incarnation's server-start record too
-            "epochs": (replay.epochs if replay is not None else 0) + 1,
-            "records": replay.records if replay is not None else 0,
-            "replayed": self.metrics.counters.get("jobs_replayed", 0),
-            "quarantined": replay.corrupt if replay is not None else 0,
+    def health(self) -> Dict[str, object]:
+        """The ``/healthz`` JSON payload (without its envelope)."""
+        tally = self.executor.tally()
+        out: Dict[str, object] = {
+            "status": self.state,
+            "queue": self.queue.snapshot(),
+            "counters": dict(self.counters),
+            "sims_run": tally["sim"],
+            "cache_hits": tally["disk"] + tally["memo"] + tally["derived"],
+            "worker_restarts": pool_restart_count(),
         }
+        if self.journal is not None:
+            replay = self.journal_replay
+            out["journal"] = {
+                # epochs counts this incarnation's server-start record too
+                "epochs": (replay.epochs if replay is not None else 0) + 1,
+                "records": replay.records if replay is not None else 0,
+                "replayed": self.counters["jobs_replayed"],
+                "quarantined": replay.corrupt if replay is not None else 0,
+            }
+        return out
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -164,7 +187,6 @@ class ServeServer:
         assert self.journal is not None
         replay = self.journal.replay(quarantine=True)
         self.journal_replay = replay
-        now = time.monotonic()
         for key, record in replay.incomplete.items():
             spec_dict = record.get("spec")
             try:
@@ -175,13 +197,15 @@ class ServeServer:
                 self.journal.note_cancelled(
                     key, reason=f"unreplayable spec: {exc}")
                 continue
-            ticket = Ticket(spec, key, now, replayed=True)
+            # No client holds this ticket's id: it gives the re-enqueued
+            # job an entry for resubmitting clients to coalesce on.
+            ticket = Ticket(spec, key)
             if self.queue.coalesce(ticket) is None:
                 self.queue.push(ticket)
             self._register(ticket)
-            self.metrics.inc("jobs_replayed")
+            self.counters["jobs_replayed"] += 1
         self.journal.note_server_start(
-            replayed=self.metrics.counters.get("jobs_replayed", 0),
+            replayed=self.counters["jobs_replayed"],
             quarantined=replay.corrupt)
         if replay.epochs or replay.records:
             print(f"repro serve: journal replay — {replay.describe()}",
@@ -215,7 +239,7 @@ class ServeServer:
                     message="server draining before the job was "
                             "dispatched")
                 self._retire(ticket)
-                self.metrics.inc("jobs_cancelled")
+                self.counters["jobs_cancelled"] += 1
         if self.journal is not None and drained:
             self.journal.append_many(
                 [("cancelled", e.key, {"reason": "draining"})
@@ -267,7 +291,7 @@ class ServeServer:
             if request is None:
                 return
             method, path, query, body = request
-            self.metrics.inc("requests")
+            self.counters["requests"] += 1
             try:
                 status, payload, headers = await self._route(
                     method, path, query, body)
@@ -325,15 +349,10 @@ class ServeServer:
     def _write_response(self, writer: asyncio.StreamWriter, status: int,
                         payload: object,
                         headers: Optional[Dict[str, str]] = None) -> None:
-        if isinstance(payload, str):
-            body = payload.encode()
-            ctype = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = json.dumps(payload).encode()
-            ctype = "application/json"
+        body = json.dumps(payload).encode()
         reason = _REASONS.get(status, "Unknown")
         head = [f"HTTP/1.1 {status} {reason}",
-                f"Content-Type: {ctype}",
+                "Content-Type: application/json",
                 f"Content-Length: {len(body)}",
                 "Connection: close"]
         for name, value in (headers or {}).items():
@@ -353,24 +372,13 @@ class ServeServer:
             return self._status(query)
         if path == f"{protocol.API_PREFIX}/result":
             return self._result(query)
-        if path == f"{protocol.API_PREFIX}/cancel":
-            if method != "POST":
-                return self._method_not_allowed()
-            return self._cancel(body)
-        if path in ("/healthz", f"{protocol.API_PREFIX}/health"):
-            state = self.state
-            payload = protocol.ok_envelope(**self.metrics.snapshot(
-                self.queue.snapshot(), self.executor.tally(),
-                state, self.executor.jobs,
-                journal=self._journal_info()))
+        if path == "/healthz":
+            health = self.health()
             # Anything but plain "ok" answers 503 so load balancers and
             # ops probes can gate on the HTTP code alone; the JSON body
             # still says exactly which non-ok state it is.
-            return (200 if state == "ok" else 503), payload, {}
-        if path == "/metrics":
-            return 200, self.metrics.render_prometheus(
-                self.queue.snapshot(), self.executor.tally(),
-                self.state, journal=self._journal_info()), {}
+            code = 200 if health["status"] == "ok" else 503
+            return code, protocol.ok_envelope(**health), {}
         return 404, protocol.error_envelope(ErrorInfo(
             kind="not-found", message=f"no route {method} {path}")), {}
 
@@ -385,8 +393,7 @@ class ServeServer:
         # Key computation builds + predecodes programs: off the loop.
         keys = await asyncio.to_thread(
             lambda: [self._key_or_error(s) for s in specs])
-        now = asyncio.get_event_loop().time()
-        results = [self._admit(spec, key, now)
+        results = [self._admit(spec, key)
                    for spec, key in zip(specs, keys)]
         accepted = sum(1 for r in results if r["accepted"])
         if accepted:
@@ -404,28 +411,28 @@ class ServeServer:
             headers["Retry-After"] = f"{retry_after:.1f}"
         return status, protocol.ok_envelope(jobs=results), headers
 
-    def _admit(self, spec, key, now: float) -> dict:
+    def _admit(self, spec, key) -> dict:
         """One job's admission decision, as its submit-response row."""
         if isinstance(key, ErrorInfo):
             return _refused(key)
         if self.draining:
             return _refused(ErrorInfo(kind="draining",
                                       message="server is draining"))
-        ticket = Ticket(spec, key, now)
+        ticket = Ticket(spec, key)
         if self.queue.coalesce(ticket) is not None:
             # Fan-in: no new work enters the system, so coalesced
             # submissions bypass both admission checks.
-            self.metrics.inc("jobs_coalesced")
+            self.counters["jobs_coalesced"] += 1
         elif not self.breaker.allows():
             retry = self.breaker.retry_after()
-            self.metrics.inc("jobs_rejected_degraded")
+            self.counters["jobs_rejected_degraded"] += 1
             return _refused(ErrorInfo(
                 kind="degraded",
                 message=f"executor degraded ({self.breaker.state}); "
                         f"retry in {retry:.1f}s",
                 retry_after=retry))
         elif self.queue.depth >= self.queue_depth:
-            self.metrics.inc("jobs_rejected")
+            self.counters["jobs_rejected"] += 1
             return _refused(ErrorInfo(
                 kind="rejected",
                 message=f"queue full ({self.queue_depth} entries); "
@@ -441,7 +448,7 @@ class ServeServer:
                 # never be journaled ahead of ``accepted``.
                 self.journal.note_accepted(key, protocol.wire_dict(spec))
             self.queue.push(ticket)
-            self.metrics.inc("jobs_submitted")
+            self.counters["jobs_submitted"] += 1
         self._register(ticket)
         return {"accepted": True, "id": ticket.id,
                 "coalesced": ticket.coalesced, "state": ticket.state}
@@ -483,28 +490,6 @@ class ServeServer:
             self._tickets.pop(ticket.id, None)
         return 200, payload, {}
 
-    def _cancel(self, body: object):
-        if not isinstance(body, dict):
-            raise ProtocolError("cancel body must be an object")
-        protocol.check_version(body)
-        ticket = self._lookup({"id": str(body.get("id", ""))})
-        cancelled = self.queue.cancel(ticket)
-        if cancelled:
-            ticket.state = protocol.CANCELLED
-            ticket.error = ErrorInfo(kind="cancelled",
-                                     message="cancelled by client")
-            self._retire(ticket)
-            self.metrics.inc("jobs_cancelled")
-            if (self.journal is not None
-                    and ticket.key not in self.queue.entries):
-                # The last ticket of its entry: the job itself is gone.
-                # (A coalesced sibling would keep the entry — and the
-                # journaled job — alive.)
-                self.journal.note_cancelled(ticket.key,
-                                            reason="client cancel")
-        return 200, protocol.ok_envelope(
-            cancelled=cancelled, job=ticket.status().to_dict()), {}
-
 
 async def _amain(**opts) -> int:
     server = ServeServer(**opts)
@@ -521,7 +506,7 @@ async def _amain(**opts) -> int:
     print(f"repro serve: drained — {tally['sim']} simulation(s) "
           f"run, {tally['disk']} disk hit(s), {tally['memo']} memo "
           f"hit(s), {tally['derived']} derived, "
-          f"{server.metrics.counters['jobs_coalesced']} coalesced",
+          f"{server.counters['jobs_coalesced']} coalesced",
           file=sys.stderr, flush=True)
     return 0
 

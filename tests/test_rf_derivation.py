@@ -110,7 +110,8 @@ def test_runner_sweep_equals_direct_runs(grid, tmp_path):
     assert runner.derived > 0
     assert runner.sims_run + runner.derived == len(SWEEP)
     assert f"{runner.derived} derived" in runner.runtime_summary()
-    derived = [s for s in _specs() if runner.sources[s] == "derived"]
+    derived = [s for s in _specs()
+               if runner.sources[run_key(s)] == "derived"]
     assert len(derived) == runner.derived
 
     # Derived points never reach the disk: a warm runner re-derives
@@ -138,7 +139,7 @@ def test_failed_largest_member_leaves_siblings_simulated(tmp_path,
     out = runner.run_many(_specs(points))
     assert getattr(out[-1], "failed", False)
     assert runner.derived == 0
-    assert [runner.sources[s] for s in _specs(points)] \
+    assert [runner.sources[run_key(s)] for s in _specs(points)] \
         == ["sim"] * (len(SIZES) - 1) + ["failed"]
 
 
@@ -156,7 +157,7 @@ def test_riders_are_never_derived(tmp_path, rider):
     specs = _specs(points, **rider)
     runner.run_many(specs)
     assert runner.derived == 0
-    assert [runner.sources[s] for s in specs] == ["sim", "sim"]
+    assert [runner.sources[run_key(s)] for s in specs] == ["sim", "sim"]
 
 
 # -- the speculative data memory: a second capacity pool ---------------------

@@ -381,6 +381,24 @@ class TestParallelRunner:
         r.run("eon", wb(1, 256))
         assert "1 simulation(s)" in r.runtime_summary()
 
+    def test_observe_env_leaves_sweeps_alone(self, tmp_path, monkeypatch):
+        """``REPRO_OBSERVE`` is ``repro run``'s default only: a sweep
+        resolves through the memo, the disk and derivation with it set
+        exactly as without it."""
+        specs = [RunSpec("eon", SCALE, SEED, ci(1, regs))
+                 for regs in (512, 256)]
+        tallies = []
+        for env in ("", "cpi"):
+            monkeypatch.setenv("REPRO_OBSERVE", env)
+            r = make_runner(ResultCache(root=str(tmp_path / f"c{env}"),
+                                        enabled=True))
+            r.run_many(specs)
+            r.run_many(specs)
+            assert r.observe is None and not r.observations
+            tallies.append(r.tally)
+        assert tallies[0] == tallies[1]
+        assert tallies[1]["memo"] == len(specs)
+
 
 class TestDeterminism:
     """Same (kernel, config, seed) must agree serially, via the pool,
@@ -474,14 +492,14 @@ class TestServingSatellites:
         spec = RunSpec("eon", SCALE, SEED, wb(1, 256))
         r = make_runner(cache, jobs=1)
         r.run_many([spec])
-        assert r.sources[spec] == r.sources[run_key(spec)] == "sim"
+        assert r.sources[run_key(spec)] == "sim"
         r.run_many([spec])
-        assert r.sources[spec] == "memo"
+        assert r.sources[run_key(spec)] == "memo"
         fresh = make_runner(cache, jobs=1)
         fresh.run_many([spec])
-        assert fresh.sources[spec] == "disk"
-        # one entry per name a run answers to: the spec and its key
-        assert len(fresh.sources) == 2
+        assert fresh.sources[run_key(spec)] == "disk"
+        # one entry per run, under its run key
+        assert len(fresh.sources) == 1
 
     def test_runner_sources_mark_failures(self, cache):
         r = ParallelRunner(scale=SCALE, seed=SEED, jobs=1, cache=cache,

@@ -20,11 +20,10 @@ from repro.runtime import parallel as parallel_mod
 from repro.serve import protocol
 from repro.serve.client import (RemoteRunner, ServeClient, ServeError,
                                 parse_address)
-from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ProtocolError
-from repro.serve.queue import ServeQueue, Ticket
+from repro.serve.queue import Entry, ServeQueue, Ticket
 from repro.serve.scheduler import CircuitBreaker, SimExecutor
-from repro.serve.server import ServeServer
+from repro.serve.server import COUNTER_NAMES, ServeServer
 from repro.uarch import SimStats
 from repro.uarch.config import ProcessorConfig, ci
 from repro.uarch.config import config_from_dict, config_to_dict
@@ -101,7 +100,7 @@ class TestProtocol:
 # -- queue ------------------------------------------------------------------
 
 def _ticket(key, kernel="gzip"):
-    return Ticket(RunSpec(kernel, SCALE, SEED), key, now=0.0)
+    return Ticket(RunSpec(kernel, SCALE, SEED), key)
 
 
 class TestServeQueue:
@@ -139,21 +138,6 @@ class TestServeQueue:
         assert [e.key for e in q.pop_batch(3)] == ["a1", "a2", "b1"]
         assert [e.key for e in q.pop_batch(8)] == ["a3", "c1"]
         assert q.depth == 0 and q.inflight == 5
-
-    def test_cancel_only_queued(self):
-        q = ServeQueue()
-        t = _ticket("k1")
-        q.push(t)
-        twin = _ticket("k1")
-        q.coalesce(twin)
-        assert q.cancel(twin)              # sibling keeps the entry
-        assert "k1" in q.entries
-        assert q.cancel(t)                 # last ticket removes it
-        assert "k1" not in q.entries and q.depth == 0
-        running = _ticket("k2")
-        q.push(running)
-        q.pop_batch(1)
-        assert not q.cancel(running)       # the pool owns it now
 
     def test_drain_empties_every_lane(self):
         q = ServeQueue()
@@ -204,8 +188,8 @@ class TestAdmission:
         decisions = _held(server, lambda client: client.submit(
             [RunSpec("gzip", SCALE), RunSpec("mcf", SCALE)]))
         assert [d["accepted"] for d in decisions] == [True, True]
-        assert server.metrics.counters["jobs_submitted"] == 2
-        assert server.metrics.counters["jobs_rejected"] == 0
+        assert server.counters["jobs_submitted"] == 2
+        assert server.counters["jobs_rejected"] == 0
 
     def test_full_queue_answers_429_with_retry_after(self, tmp_path):
         server = _serve_fixture(tmp_path, queue_depth=1)
@@ -222,7 +206,7 @@ class TestAdmission:
         assert not decision["accepted"]
         assert decision["error"]["kind"] == "rejected"
         assert decision["error"]["retry_after"] > 0
-        assert server.metrics.counters["jobs_rejected"] == 1
+        assert server.counters["jobs_rejected"] == 1
 
     def test_dispatch_follows_arrival_order_across_clients(self, tmp_path):
         server = _serve_fixture(tmp_path)
@@ -236,46 +220,24 @@ class TestAdmission:
             return [e.spec.kernel for e in server.queue.pop_batch(8)]
 
         assert _held(server, drive) == ["gzip", "mcf", "vpr", "bzip2"]
-        assert server.metrics.counters["jobs_coalesced"] == 1
+        assert server.counters["jobs_coalesced"] == 1
 
 
-# -- metrics ----------------------------------------------------------------
+# -- /healthz ----------------------------------------------------------------
 
 class TestMetrics:
-    def test_prometheus_rendering(self):
-        m = ServerMetrics()
-        m.inc("jobs_submitted", 3)
-        m.observe_latency(0.5)
-        m.observe_latency(1.5)
-        text = m.render_prometheus(
-            {"depth": 2, "inflight": 1, "queued_tickets": 2},
-            {"sim": 5, "disk": 4, "memo": 3, "derived": 0, "failed": 0},
-            "ok")
-        assert "repro_up 1" in text
-        assert 'repro_server_state{state="ok"} 1' in text
-        assert "repro_jobs_submitted_total 3" in text
-        assert 'repro_cache_hits_total{layer="disk"} 4' in text
-        assert 'repro_cache_hits_total{layer="memo"} 3' in text
-        assert "repro_job_latency_seconds_count 2" in text
-        assert "# TYPE repro_job_latency_seconds summary" in text
-
-    def test_healthz_snapshot(self):
-        m = ServerMetrics()
-        snap = m.snapshot({"depth": 0, "inflight": 0, "queued_tickets": 0},
-                          {"sim": 2, "disk": 1, "memo": 0, "derived": 0,
-                           "failed": 1},
-                          state="draining", jobs=4)
+    def test_healthz_snapshot(self, tmp_path):
+        server = _serve_fixture(tmp_path)
+        server.executor.tally = lambda: {"sim": 2, "disk": 1, "memo": 0,
+                                         "derived": 0, "failed": 1}
+        server.draining = True
+        snap = server.health()
         assert snap["status"] == "draining"
-        assert snap["cache_hits"] == 1
-        assert snap["latency_seconds"]["count"] == 0
-
-    def test_quantiles(self):
-        m = ServerMetrics()
-        for x in (1.0, 2.0, 3.0, 4.0, 100.0):
-            m.observe_latency(x)
-        p50, p95 = m.latency_quantiles()
-        assert p50 == 3.0
-        assert p95 == 100.0
+        assert (snap["sims_run"], snap["cache_hits"]) == (2, 1)
+        assert snap["queue"] == {"depth": 0, "inflight": 0,
+                                 "queued_tickets": 0}
+        assert snap["counters"] == dict.fromkeys(COUNTER_NAMES, 0)
+        assert "journal" not in snap     # journaling disabled
 
 
 # -- end-to-end -------------------------------------------------------------
@@ -341,7 +303,7 @@ class TestServerEndToEnd:
         assert stats_a == stats_b
         # each distinct job simulated exactly once across both clients
         assert server.executor.tally()["sim"] == len(specs)
-        coalesced = server.metrics.counters["jobs_coalesced"]
+        coalesced = server.counters["jobs_coalesced"]
         cached = (server.executor.tally()["disk"]
                   + server.executor.tally()["memo"])
         assert coalesced + cached >= len(specs)
@@ -371,16 +333,25 @@ class TestServerEndToEnd:
         assert status.error.kind == "bad-request"
 
     def test_health_and_metrics_endpoints(self, tmp_path):
+        """``/healthz`` is the one telemetry face; the retired routes
+        answer the ordinary 404 envelope."""
         def drive(client):
             client.run([RunSpec(kernel="gzip", scale=SCALE)])
-            return client.health(), client.metrics_text()
+            retired = [client._request(method, path, body)
+                       for method, path, body in (
+                           ("GET", "/metrics", None),
+                           ("GET", "/v1/health", None),
+                           ("POST", "/v1/cancel",
+                            {"v": protocol.PROTOCOL_VERSION, "id": "j1"}))]
+            return client.health(), retired
 
-        health, metrics = _drive(_serve_fixture(tmp_path), drive)
+        health, retired = _drive(_serve_fixture(tmp_path), drive)
         assert health["status"] == "ok"
         assert health["counters"]["jobs_completed"] == 1
         assert health["sims_run"] == 1
-        assert "repro_up 1" in metrics
-        assert "repro_sims_total 1" in metrics
+        for status, env in retired:
+            assert status == 404 and not env["ok"]
+            assert env["error"]["kind"] == "not-found"
 
     def test_unknown_id_is_not_found(self, tmp_path):
         def drive(client):
@@ -460,17 +431,8 @@ class TestServerEndToEnd:
         assert second[0]["error"]["retry_after"] > 0
         # A full queue still lets a twin fan in: it adds no work.
         assert twin[0]["accepted"] and twin[0]["coalesced"]
-        assert server.metrics.counters["jobs_rejected"] == 1
-        assert server.metrics.counters["jobs_coalesced"] == 1
-
-    def test_cancel_endpoint(self, tmp_path):
-        def drive(client):
-            [d] = client.submit([RunSpec("gzip", SCALE)])
-            assert client.cancel(d["id"])
-            return client.status(d["id"])
-
-        st = _held(_serve_fixture(tmp_path), drive)
-        assert st.state == protocol.CANCELLED
+        assert server.counters["jobs_rejected"] == 1
+        assert server.counters["jobs_coalesced"] == 1
 
 
 # -- the one source record ---------------------------------------------------
@@ -509,16 +471,29 @@ class TestOneSourceRecord:
             runner = RemoteRunner(client.base_url, scale=SCALE, seed=SEED,
                                   keep_going=True)
             runner.run_many(self.SPECS)
-            return runner, client.health(), client.metrics_text()
+            return runner, client.health()
 
-        remote, health, metrics = _drive(server, drive)
+        remote, health = _drive(server, drive)
         assert remote.runtime_summary() == (
             f"runtime: 3 job(s) served by {remote.client.base_url}, "
             f"2 sim, 1 FAILED")
         assert server.executor.tally() == self.RECORD
         assert (health["sims_run"], health["cache_hits"]) == (2, 0)
-        assert "\nrepro_sims_total 2\n" in metrics
         assert server.executor.cache.load_counters() == self.RECORD
+
+    def test_daemon_runners_keep_no_sources(self, tmp_path):
+        """The executor reads each job's source once; its long-lived
+        runners keep none of them between batches."""
+        executor = SimExecutor(cache=ResultCache(
+            root=str(tmp_path / "cache"), enabled=True), jobs=1)
+        for kernels in (("gzip", "mcf"), ("vpr", "bzip2")):
+            specs = [RunSpec(k, SCALE, SEED) for k in kernels]
+            entries = [Entry(Ticket(spec, executor.key_for(spec)))
+                       for spec in specs]
+            outcome = executor.execute(entries)
+            assert [src for _, src in outcome.values()] == ["sim", "sim"]
+        assert executor.tally()["sim"] == 4
+        assert [r.sources for r in executor._runners.values()] == [{}]
 
 
 # -- RemoteRunner -----------------------------------------------------------
@@ -619,7 +594,7 @@ class TestCrashRecovery:
         outcomes = _drive(server2, drive)
 
         # The incomplete job was re-enqueued from the journal...
-        assert server2.metrics.counters["jobs_replayed"] == 1
+        assert server2.counters["jobs_replayed"] == 1
         assert server2.journal_replay.epochs == 1   # predecessor's mark
         assert list(server2.journal_replay.incomplete) \
             == [lost_spec.cache_key()]
@@ -671,6 +646,19 @@ class TestCrashRecovery:
 
         assert _drive(server, drive)
 
+    def test_submit_prints_a_non_ok_health_state(self, tmp_path, capsys):
+        from repro.cli import main
+        server = _serve_fixture(tmp_path)
+
+        def drive(client):
+            server.draining = True     # /healthz answers 503 "draining"
+            return main(["submit", "gzip", "--scale", str(SCALE), "-q",
+                         "--server", client.base_url])
+
+        _held(server, drive)
+        assert "repro submit: server reports draining" \
+            in capsys.readouterr().err
+
     def test_open_breaker_refuses_new_work_until_cooldown(self, tmp_path):
         from repro.serve.protocol import ErrorInfo
 
@@ -719,7 +707,7 @@ class TestCrashRecovery:
         outcomes = asyncio.run(main())
         assert [st.state for st, _ in outcomes] == [protocol.DONE] * 2
         assert breaker.state == CircuitBreaker.OK
-        assert server.metrics.counters["jobs_rejected_degraded"] == 1
+        assert server.counters["jobs_rejected_degraded"] == 1
         assert server.executor.tally()["sim"] == 2
 
     def test_replays_journal_written_by_v1_server(self, tmp_path):
@@ -748,7 +736,7 @@ class TestCrashRecovery:
 
         health, status, stats = _drive(server, drive)
         assert list(server.journal_replay.incomplete) == [key]
-        assert server.metrics.counters["jobs_replayed"] == 0
+        assert server.counters["jobs_replayed"] == 0
         with open(jpath, encoding="utf-8") as fh:
             records = [json.loads(line)["record"] for line in fh]
         [closed] = [r for r in records if r["event"] == "cancelled"]
@@ -879,7 +867,7 @@ class TestRuntimeRetries:
         assert [st.state for st, _ in outcomes] \
             == [protocol.DONE] * len(specs)
         assert server.breaker.state == CircuitBreaker.OK
-        assert server.metrics.counters["circuit_trips"] == 0
+        assert server.counters["circuit_trips"] == 0
         assert parallel_mod.pool_restart_count() - before == 2
         assert server.executor.tally()["sim"] == len(specs)
 
@@ -901,7 +889,7 @@ class TestRuntimeRetries:
             assert status.error.attempts == 2
         assert code == 503
         assert health["status"] == "degraded:circuit-open"
-        assert server.metrics.counters["circuit_trips"] == 1
+        assert server.counters["circuit_trips"] == 1
 
     def test_default_retry_budget(self, tmp_path, monkeypatch):
         cache = ResultCache(root=str(tmp_path / "c"), enabled=True)
