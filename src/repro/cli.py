@@ -18,7 +18,6 @@ Commands
 ``serve``    run the simulation service daemon (async HTTP/JSON front end
              over warm runners and the result cache; see DESIGN.md §10)
 ``submit``   submit kernels to a running daemon and stream status lines
-``profile``  cProfile one kernel simulation (hot-loop work)
 ``pipeview`` per-instruction pipeline trace (text / Konata / JSONL)
 ``why``      CPI stack + CI-mechanism audit: why cycles are spent and
              why each hard branch was (not) reused
@@ -64,20 +63,38 @@ SCHEMES = ("scal", "wb", "ci", "ci-iw", "vect")
 DEFAULT_PORT = 8731
 
 
+def _regs_arg(text: str) -> int:
+    """``--regs``: a physical register count, or ``inf`` for
+    :data:`INF_REGS`; anything else is a usage error."""
+    if text == "inf":
+        return INF_REGS
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid register count {text!r} (int or 'inf')") from None
+
+
+def _add_regs_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--regs", type=_regs_arg, default=512,
+                   help="physical registers (int or 'inf')")
+
+
 def make_config(args: argparse.Namespace) -> ProcessorConfig:
-    regs = INF_REGS if args.regs == "inf" else int(args.regs)
     scheme = args.scheme
     policy = getattr(args, "policy", None)
     try:
         if policy is not None:
             # An explicit registry policy wins over --scheme.
-            cfg = ci(args.ports, regs, replicas=args.replicas, policy=policy)
+            cfg = ci(args.ports, args.regs, replicas=args.replicas,
+                     policy=policy)
         elif scheme == "scal":
-            cfg = scal(args.ports, regs)
+            cfg = scal(args.ports, args.regs)
         elif scheme == "wb":
-            cfg = wb(args.ports, regs)
+            cfg = wb(args.ports, args.regs)
         elif scheme in ("ci", "ci-iw", "vect"):
-            cfg = ci(args.ports, regs, replicas=args.replicas, policy=scheme)
+            cfg = ci(args.ports, args.regs, replicas=args.replicas,
+                     policy=scheme)
         else:  # pragma: no cover - argparse restricts choices
             raise SystemExit(f"unknown scheme {scheme!r}")
     except ValueError as exc:  # unknown --policy: registry suggests fixes
@@ -96,8 +113,7 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", default=None, metavar="NAME",
                    help="mechanism policy from the registry (overrides "
                         "--scheme; see 'repro list')")
-    p.add_argument("--regs", default="512",
-                   help="physical registers (int or 'inf')")
+    _add_regs_arg(p)
     p.add_argument("--ports", type=int, default=1, help="L1 data ports")
     p.add_argument("--replicas", type=int, default=4,
                    help="speculative replicas per vectorized instruction")
@@ -178,8 +194,13 @@ def _finish_sweep(runner) -> int:
 
 def _load_program(args: argparse.Namespace):
     if args.kernel.endswith(".s") or args.kernel.endswith(".asm"):
-        with open(args.kernel) as fh:
-            return assemble(fh.read(), name=args.kernel)
+        try:
+            with open(args.kernel) as fh:
+                source = fh.read()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+        return assemble(source, name=args.kernel)
     return build_program(args.kernel, args.scale, args.seed)
 
 
@@ -332,9 +353,11 @@ def _suite_table(stats, runner, cfg, args: argparse.Namespace) -> str:
         hmean = SampledFloat(hmean)
     rows.append(["INT(hmean)", hmean,
                  "" if not runner.failures else "(partial)", "", ""])
+    from .experiments.common import reg_label
     label = cfg.ci_policy if cfg.ci_policy is not None else args.scheme
     return format_table(
-        f"suite under {label} ({args.regs} regs, {args.ports} port(s))",
+        f"suite under {label} ({reg_label(args.regs)} regs, "
+        f"{args.ports} port(s))",
         ["kernel", "IPC", "mispred", "reuse", "cycles"], rows)
 
 
@@ -348,16 +371,15 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS, generate_report
-    runner = _make_runner(args, scale=_sweep_scale(args))
-    if args.name == "all":
-        print(generate_report(runner))
-        return _finish_sweep(runner)
-    key = args.name if args.name.startswith(("fig", "intext")) \
-        else f"fig{int(args.name):02d}"
-    if key not in ALL_EXPERIMENTS:
+    key = f"fig{int(args.name):02d}" if args.name.isdigit() else args.name
+    if key != "all" and key not in ALL_EXPERIMENTS:
         print(f"unknown figure {args.name!r}; known: "
               f"{', '.join(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
+    runner = _make_runner(args, scale=_sweep_scale(args))
+    if key == "all":
+        print(generate_report(runner))
+        return _finish_sweep(runner)
     print(ALL_EXPERIMENTS[key](runner).render())
     return _finish_sweep(runner)
 
@@ -518,7 +540,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     rows = []
     injected = unapplied = bad = 0
     for policy in policies:
-        cfg = ci_config(args.ports, int(args.regs), policy=policy.strip())
+        cfg = ci_config(args.ports, args.regs, policy=policy.strip())
         for i, kernel in enumerate(kernels):
             prog = build_program(kernel, args.scale, args.seed)
             # A distinct plan seed per (kernel, policy) point, stable
@@ -545,22 +567,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     print(f"{injected} fault(s) injected across {len(rows)} run(s); "
           f"{unapplied} never armed; {bad} run(s) failed checks")
     return 1 if bad else 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .runtime.profiling import profile_kernel
-    stats, report = profile_kernel(
-        args.kernel, make_config(args), scale=args.scale, seed=args.seed,
-        sort=args.sort, limit=args.limit)
-    header = (f"{args.kernel}: {stats.committed} committed / {stats.cycles} "
-              f"cycles (IPC {stats.ipc:.3f})")
-    print(header)
-    print(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(header + "\n" + report)
-        print(f"profile report written to {args.out}")
-    return 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -790,24 +796,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workload scale factor (default: 0.05)")
     pfa.add_argument("--seed", type=int, default=1,
                      help="workload data seed")
-    pfa.add_argument("--regs", default="512",
-                     help="physical registers")
+    _add_regs_arg(pfa)
     pfa.add_argument("--ports", type=int, default=1, help="L1 data ports")
     pfa.add_argument("--verbose", "-v", action="store_true",
                      help="print each violation/diff to stderr")
     pfa.set_defaults(fn=cmd_faults)
 
-    pp = sub.add_parser("profile",
-                        help="cProfile one kernel simulation")
-    pp.add_argument("kernel", help="suite kernel name")
-    _add_machine_args(pp)
-    pp.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
-                    default="cumulative", help="pstats sort order")
-    pp.add_argument("--limit", type=int, default=30,
-                    help="rows of the profile to print")
-    pp.add_argument("--out", metavar="FILE", default=None,
-                    help="also write the profile report to FILE")
-    pp.set_defaults(fn=cmd_profile)
     return p
 
 

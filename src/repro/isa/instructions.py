@@ -29,7 +29,7 @@ NUM_LOGICAL_REGS = 64
 # Execution-dispatch kinds, precomputed per instruction so the timing
 # core and the functional interpreter branch on one int instead of a
 # chain of ``op in ALU_EVAL`` / ``op is Op.LD`` tests per dynamic
-# instruction (measured hot path; see benchmarks/bench_runtime.py).
+# instruction (measured hot path; ``perfbench/benchmark.py`` times it).
 K_ALU = 0
 K_LOAD = 1
 K_STORE = 2

@@ -21,8 +21,8 @@ method an observer overrides is bound, one called per event, several
 fanned out in list order.  Zero overhead when off: an event no observer
 overrides binds to ``None`` and its call site costs one ``is not None``
 test on a hoisted local, so the base :class:`Observer` costs the same
-as no observer at all (``benchmarks/bench_observe.py`` gates the
-regression).
+as no observer at all (``tests/test_hook_binding.py`` asserts that
+every core event binds ``None`` under the base :class:`Observer`).
 
 Worker transport: observers cannot cross a process boundary alive, so
 each one serialises to a plain-data payload (:meth:`Observer.export`)

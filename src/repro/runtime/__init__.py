@@ -17,10 +17,7 @@ Three cooperating pieces (see DESIGN.md §11):
   writes, per-entry checksums, quarantine of corrupt files and
   run-spec provenance in the envelope.
 
-:mod:`repro.runtime.profiling` (the cProfile harness behind ``repro
-profile``) is imported only by that command.
-
-Every figure, ablation, benchmark and CLI sweep runs on a
+Every figure, ablation and CLI sweep runs on a
 ``ParallelRunner``, so each gets the pool and the cache for free.
 """
 

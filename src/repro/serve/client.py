@@ -14,7 +14,7 @@ Two layers:
   stats come back as the same :class:`~repro.uarch.SimStats` values the
   daemon's runner produced, and failures surface as the same
   :class:`~repro.runtime.FailedResult` holes a local ``--keep-going``
-  sweep would report.
+  sweep would report (:meth:`ErrorInfo.to_failed_result` builds them).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import FailedResult, ParallelRunner, ResultCache, RunSpec
+from ..runtime import ParallelRunner, ResultCache, RunSpec
 from ..uarch import SimStats
 from . import protocol
 from .protocol import ErrorInfo, JobStatus

@@ -44,6 +44,29 @@ class TestMakeConfig:
         cfg = make_config(self.parse("run", "bzip2", "--regs", "inf"))
         assert cfg.phys_regs == INF_REGS
 
+    def test_faults_takes_inf_regs(self):
+        assert self.parse("faults", "--regs", "inf").regs == INF_REGS
+        assert self.parse("faults", "--regs", "256").regs == 256
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "gzip", "--regs", "abc"),
+        ("suite", "--regs", "12x"),
+        ("faults", "--regs", "many"),
+    ])
+    def test_bad_regs_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.parse(*argv)
+        assert exc.value.code == 2
+        assert "invalid register count" in capsys.readouterr().err
+
+    def test_suite_table_labels_inf_regs(self):
+        from types import SimpleNamespace
+        from repro.cli import _suite_table
+        args = self.parse("suite", "--regs", "inf")
+        table = _suite_table({}, SimpleNamespace(failures=[]),
+                             make_config(args), args)
+        assert "(inf regs, 1 port(s))" in table
+
     def test_vect_policy(self):
         cfg = make_config(self.parse("run", "bzip2", "--scheme", "vect",
                                      "--replicas", "8"))
@@ -79,8 +102,17 @@ class TestCommands:
             assert token in out
 
     def test_unknown_figure(self, capsys):
-        rc = main(["figure", "fig99"])
-        assert rc == 2
+        for name in ("fig99", "foo"):
+            assert main(["figure", name]) == 2
+            assert f"unknown figure {name!r}; known: fig04" \
+                in capsys.readouterr().err
+
+    def test_run_missing_assembly_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "missing.s")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.s" in err
 
     def test_unknown_ablation(self, capsys):
         rc = main(["ablation", "nosuch"])
@@ -162,11 +194,12 @@ class TestRuntimeCommands:
         args = build_parser().parse_args(["ablation", "mbs"])
         assert args.jobs is None
 
-    def test_profile_command(self, capsys):
-        rc, out = run_cli(capsys, "profile", "eon", "--scale", "0.1",
-                          "--limit", "5")
-        assert rc == 0
-        assert "committed" in out and "cumtime" in out
+    def test_profile_command_is_gone(self, capsys):
+        # ``python -m cProfile -m repro run KERNEL`` does the same job.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["profile", "eon"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
 
 class TestObserveCommands:
