@@ -75,6 +75,15 @@ def _regs_arg(text: str) -> int:
             f"invalid register count {text!r} (int or 'inf')") from None
 
 
+def _seeds_arg(text: str) -> List[int]:
+    """``chaos --seed``: one seed or a comma-separated list of them."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid seed list {text!r} (e.g. 7 or 1,2,3)") from None
+
+
 def _add_regs_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regs", type=_regs_arg, default=512,
                    help="physical registers (int or 'inf')")
@@ -97,10 +106,8 @@ def make_config(args: argparse.Namespace) -> ProcessorConfig:
                      policy=scheme)
         else:  # pragma: no cover - argparse restricts choices
             raise SystemExit(f"unknown scheme {scheme!r}")
-    except ValueError as exc:  # unknown --policy: registry suggests fixes
+    except ValueError as exc:  # the registry's message lists the policies
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: 'repro list' lists the registered policies",
-              file=sys.stderr)
         raise SystemExit(2) from None
     if args.spec_mem:
         cfg = with_spec_mem(cfg, args.spec_mem)
@@ -466,13 +473,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .faults.chaos import DEFAULT_PLAN, ChaosPlan, run_chaos
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
-        else [args.seed]
     kernels = args.kernels.split(",") if args.kernels else None
     on_event = (lambda m: print(f"repro chaos: {m}", file=sys.stderr)) \
         if args.verbose else None
     bad = 0
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(args.seed):
         text = args.plan or DEFAULT_PLAN
         if "seed=" not in text:
             text = f"{text},seed={seed}"
@@ -489,8 +494,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(report.render())
         if not report.ok:
             bad += 1
-    if len(seeds) > 1:
-        print(f"\n{len(seeds) - bad}/{len(seeds)} drill(s) passed")
+    if len(args.seed) > 1:
+        print(f"\n{len(args.seed) - bad}/{len(args.seed)} drill(s) passed")
     return 1 if bad else 0
 
 
@@ -762,12 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="chaos plan, e.g. 'kill-server@mid,drop-conn' "
                           "(default: every kind once at seeded "
                           "positions)")
-    pch.add_argument("--seed", type=int, default=0, metavar="S",
-                     help="plan seed for unpinned event positions "
+    pch.add_argument("--seed", type=_seeds_arg, default=[0],
+                     metavar="A[,B,...]",
+                     help="plan seed for unpinned event positions; a "
+                          "list runs the drill once per seed "
                           "(default: 0)")
-    pch.add_argument("--seeds", default=None, metavar="A,B,...",
-                     help="run the drill once per seed (overrides "
-                          "--seed)")
     pch.add_argument("--kernels", default=None, metavar="A,B,...",
                      help="kernels to sweep (default: the whole suite)")
     pch.add_argument("--scale", type=float, default=0.05,
@@ -775,8 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     pch.add_argument("--data-seed", type=int, default=1, metavar="N",
                      help="workload data seed (default: 1)")
     pch.add_argument("--jobs", type=int, default=2, metavar="N",
-                     help="daemon worker processes (default: 2 — the "
-                          "kill-worker event needs a real pool)")
+                     help="daemon worker processes (default: 2)")
     pch.add_argument("--verbose", "-v", action="store_true",
                      help="stream drill events to stderr")
     pch.set_defaults(fn=cmd_chaos)

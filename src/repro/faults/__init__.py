@@ -24,10 +24,12 @@ systematically instead of waiting for a workload to stumble into them:
 :class:`FaultReport`; ``repro faults`` sweeps it across the suite.
 
 One level up, :mod:`repro.faults.chaos` applies the same discipline to
-the *serving* stack: seeded :class:`ChaosPlan` drills (daemon kills,
-worker kills, dropped connections, journal corruption) against a real
-``repro serve`` subprocess, audited for journal consistency and
-stats equivalence with a serial reference — ``repro chaos`` runs them.
+the *serving* stack: seeded ``ChaosPlan`` drills (daemon kills, dropped
+connections, journal corruption) against a real ``repro serve``
+subprocess, audited for journal consistency and stats equivalence with
+a serial reference — ``repro chaos`` runs them.  It is imported only
+from there, so a checked or faulted simulation never loads the
+networking and subprocess modules the drills need.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .chaos import (CHAOS_KINDS, ChaosDriver, ChaosPlan, ChaosReport,
-                    ChaosSpec, run_chaos)
 from .injector import FaultInjector, InjectedCrash, POISON_MASK
 from .invariants import InvariantChecker, InvariantViolation
 from .oracle import (
@@ -48,11 +48,6 @@ from .oracle import (
 from .plan import CYCLE_LO, FAULT_KINDS, FaultPlan, FaultSpec
 
 __all__ = [
-    "CHAOS_KINDS",
-    "ChaosDriver",
-    "ChaosPlan",
-    "ChaosReport",
-    "ChaosSpec",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
@@ -67,7 +62,6 @@ __all__ = [
     "committed_state",
     "diff_against_interpreter",
     "plan_for_run",
-    "run_chaos",
     "run_checked",
 ]
 

@@ -22,21 +22,23 @@ Spec grammar (the ``repro chaos --plan`` syntax)::
 
     plan := item ("," item)*
     item := "seed=" INT | KIND ["@" POS]
-    KIND := kill-server | kill-worker | drop-conn | corrupt-journal
-          | slow-client | malformed-envelope
+    KIND := kill-server | drop-conn | corrupt-journal | slow-client
+          | malformed-envelope
     POS  := INT | start | mid | end
 
 Positions are *progress points*: an event armed ``@N`` fires once the
 client has collected N results (``mid`` = half the sweep, ``end`` = the
-last job, unpinned = drawn from ``random.Random(seed)``, except that an
-unpinned ``kill-worker`` arms at the start: see :meth:`ChaosSpec.trigger`).
-The daemon
-under test runs as a real subprocess (``python -m repro serve``) with
-tiny batches (``--batch-max 2``) so a kill genuinely lands mid-sweep
-while pool workers still exist to be killed, an isolated
-``REPRO_CACHE_DIR`` and its own journal; ``kill-server`` is SIGKILL —
-no drain, no flush — followed by a restart on the same port, which is
-exactly the crash the journal exists for.
+last job, unpinned = drawn from ``random.Random(seed)``).  Every trigger
+is below the sweep size, so every event fires by the client's final
+poll.  The daemon under test runs as a real subprocess (``python -m
+repro serve``) in its own session, with tiny batches (``--batch-max
+2``) so a kill genuinely lands mid-sweep, an isolated
+``REPRO_CACHE_DIR`` and its own journal; ``kill-server`` SIGKILLs the
+daemon's process group — no drain, no flush — and restarts it on the
+same port, which is exactly the crash the journal exists for.
+
+Pool-worker deaths are not a chaos kind: tier-1 kills pool workers
+deterministically (``tests/test_serve.py::TestRuntimeRetries``).
 """
 
 from __future__ import annotations
@@ -56,21 +58,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: every injectable service-layer fault kind, in generation rotation order
+#: every injectable service-layer fault kind, in default-plan order
 CHAOS_KINDS: Tuple[str, ...] = (
     "kill-server",          # SIGKILL the daemon mid-sweep, restart it
-    "kill-worker",          # SIGKILL one pool worker process
     "drop-conn",            # cut the client connection after a request
     "corrupt-journal",      # scribble a torn/garbage tail on the journal
     "slow-client",          # stall the client past its poll cadence
     "malformed-envelope",   # raw garbage + invalid JSON at the listener
 )
-
-#: accepted long-form spellings in plan specs
-CHAOS_ALIASES = {
-    "drop-connection": "drop-conn",
-    "corrupt-journal-tail": "corrupt-journal",
-}
 
 #: symbolic progress positions
 POSITIONS = ("start", "mid", "end")
@@ -114,13 +109,7 @@ class ChaosSpec:
             return last
         if self.pos:
             return min(int(self.pos), last)
-        drawn = rng.randrange(0, max(1, total))
-        # A pool exists only while the daemon runs a fresh multi-job
-        # batch, and it runs ahead of the client's progress (a slow
-        # client or a restart lets it finish the sweep from its cache),
-        # so an unpinned kill-worker arms at the start; it still draws,
-        # keeping the other events' seeded positions.
-        return 0 if self.kind == "kill-worker" else drawn
+        return rng.randrange(0, max(1, total))
 
 
 class ChaosPlan:
@@ -129,26 +118,6 @@ class ChaosPlan:
     def __init__(self, specs: Sequence[ChaosSpec], seed: int = 0):
         self.seed = seed
         self.specs: Tuple[ChaosSpec, ...] = tuple(specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ChaosPlan)
-                and self.specs == other.specs and self.seed == other.seed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ChaosPlan {self.to_spec()!r}>"
-
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def generate(cls, seed: int, count: int,
-                 kinds: Sequence[str] = CHAOS_KINDS) -> "ChaosPlan":
-        """``count`` events rotating through ``kinds``, all unpinned
-        (positions come from the seed at resolve time).  Same
-        arguments, same plan."""
-        return cls([ChaosSpec(kind=kinds[i % len(kinds)])
-                    for i in range(count)], seed=seed)
 
     @classmethod
     def parse(cls, text: str) -> "ChaosPlan":
@@ -170,11 +139,9 @@ class ChaosPlan:
             if "@" in part:
                 part, pos = part.split("@", 1)
                 pos = pos.strip()
-            kind = CHAOS_ALIASES.get(part.strip(), part.strip())
-            specs.append(ChaosSpec(kind=kind, pos=pos))
+            specs.append(ChaosSpec(kind=part.strip(), pos=pos))
         return cls(specs, seed=seed)
 
-    # -- resolution ------------------------------------------------------
     def resolve(self, total: int) -> List[Tuple[int, ChaosSpec]]:
         """``(trigger, spec)`` pairs for a sweep of ``total`` jobs,
         sorted by trigger.  Deterministic: unpinned positions are drawn
@@ -185,19 +152,9 @@ class ChaosPlan:
         resolved.sort(key=lambda pair: (pair[0], pair[1].kind))
         return resolved
 
-    # -- serialisation ---------------------------------------------------
     def to_spec(self) -> str:
         out = ",".join(s.to_spec() for s in self.specs)
         return f"{out},seed={self.seed}" if self.seed else out
-
-    def describe(self) -> str:
-        if not self.specs:
-            return "empty chaos plan"
-        by_kind: Dict[str, int] = {}
-        for s in self.specs:
-            by_kind[s.kind] = by_kind.get(s.kind, 0) + 1
-        kinds = " ".join(f"{k}:{n}" for k, n in sorted(by_kind.items()))
-        return f"{len(self.specs)} event(s) [{kinds}]"
 
 
 class ChaosDriver:
@@ -214,9 +171,7 @@ class ChaosDriver:
         self.cache_dir = os.path.join(workdir, "cache")
         self.journal_path = os.path.join(workdir, "serve-journal.jsonl")
         self.jobs = jobs
-        #: small batches so a daemon kill genuinely lands mid-sweep; 2
-        #: (not 1) because a single-job batch runs in-process — no pool
-        #: worker would ever exist for ``kill-worker`` to hit
+        #: small batches so a daemon kill genuinely lands mid-sweep
         self.batch_max = batch_max
         self.queue_depth = queue_depth
         self.startup_timeout = startup_timeout
@@ -251,11 +206,11 @@ class ChaosDriver:
     def start(self, attempts: int = 8) -> None:
         """Launch one incarnation and wait for its listening banner.
 
-        A restart after :meth:`kill` can transiently lose the bind race:
-        pool workers orphaned by the SIGKILL inherited the listening fd
-        (fork context copies the whole fd table) and hold the port until
-        they notice their parent is gone.  :meth:`kill` reaps them, but
-        belt-and-braces we retry ``EADDRINUSE`` here a few times."""
+        The daemon leads its own session, so its forked pool workers
+        share its process group and :meth:`kill` takes them all.  A
+        restart can still transiently lose the bind race — a killed
+        process releases its listening fd asynchronously — so
+        ``EADDRINUSE`` is retried a few times."""
         last_tail = ""
         for attempt in range(attempts):
             cmd = [sys.executable, "-m", "repro", "serve",
@@ -268,7 +223,7 @@ class ChaosDriver:
             mark = len(self.log)
             self.proc = subprocess.Popen(
                 cmd, env=self._env(), stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True)
+                stderr=subprocess.PIPE, text=True, start_new_session=True)
             threading.Thread(target=self._pump,
                              args=(self.proc, self._ready),
                              daemon=True).start()
@@ -297,21 +252,17 @@ class ChaosDriver:
                 ready.set()
 
     def kill(self) -> None:
-        """SIGKILL the daemon — no drain, no flush, no goodbye.
-
-        Pool workers are reaped too: they inherited the daemon's
-        listening socket at fork, and an orphan still holding that fd
-        keeps the port bound against the successor incarnation."""
-        orphans = self.worker_pids()
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
-        for pid in orphans:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass   # already gone, or never ours to kill
+        """SIGKILL the daemon's process group — no drain, no flush, no
+        goodbye.  The group holds the pool workers too: they inherited
+        the listening socket at fork, and an orphan still holding that
+        fd would keep the port bound against the successor."""
+        self._killpg()
         self.kills += 1
+
+    def _killpg(self) -> None:
+        if self.proc is not None and self.proc.poll() is None:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+            self.proc.wait()
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful drain (SIGTERM); escalates to SIGKILL on a hang."""
@@ -321,30 +272,7 @@ class ChaosDriver:
         try:
             self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:  # pragma: no cover - hung drain
-            self.proc.kill()
-            self.proc.wait()
-
-    # -- fault primitives ------------------------------------------------
-    def worker_pids(self) -> List[int]:
-        """Direct children of the daemon (pool worker processes)."""
-        if self.proc is None or self.proc.poll() is not None:
-            return []
-        pids: List[int] = []
-        try:
-            candidates = os.listdir("/proc")
-        except OSError:   # pragma: no cover - non-procfs platform
-            return []
-        for name in candidates:
-            if not name.isdigit():
-                continue
-            try:
-                with open(f"/proc/{name}/stat") as fh:
-                    stat_fields = fh.read().rsplit(")", 1)[1].split()
-            except (OSError, IndexError):
-                continue
-            if int(stat_fields[1]) == self.proc.pid:
-                pids.append(int(name))
-        return sorted(pids)
+            self._killpg()
 
     def corrupt_journal_tail(self) -> int:
         """Append torn and corrupt lines to the (closed) journal.
@@ -372,10 +300,6 @@ class ChaosReport:
     kernels: List[str]
     #: events that fired, as ``kind@trigger`` strings, in firing order
     fired: List[str] = field(default_factory=list)
-    #: planned events that never took effect: the sweep ended before
-    #: their trigger, or (``kill-worker``) before any poll found a pool
-    #: worker to kill
-    unapplied: List[str] = field(default_factory=list)
     #: jobs that ended without stats (kernel: state)
     failures: List[str] = field(default_factory=list)
     #: kernels whose stats differ from the serial reference
@@ -392,20 +316,16 @@ class ChaosReport:
     server_kills: int = 0
     #: client resilience events (reconnects, reattaches, degraded)
     client_events: List[str] = field(default_factory=list)
-    #: worker-pool rebuilds of the final incarnation (``/healthz``)
-    worker_restarts: Optional[int] = None
 
     @property
     def verdict(self) -> str:
         """``FAIL`` when a contract broke (inconsistent journal, a
         duplicated simulation, an unfinished job, stats that differ from
-        serial); else ``INCONCLUSIVE`` when a planned event never took
-        effect, since the drill then did not test what it planned;
-        else ``OK``."""
+        serial); else ``OK``."""
         if self.violations or self.duplicate_sims or self.failures \
                 or self.mismatches:
             return "FAIL"
-        return "INCONCLUSIVE" if self.unapplied else "OK"
+        return "OK"
 
     @property
     def ok(self) -> bool:
@@ -417,9 +337,7 @@ class ChaosReport:
             f"jobs            : {len(self.kernels)} kernel(s), "
             f"{len(self.kernels) - len(self.failures)} completed, "
             f"{len(self.failures)} failed",
-            f"events          : fired {', '.join(self.fired) or 'none'}"
-            f" ({len(self.unapplied)} unapplied"
-            f"{': ' + ', '.join(self.unapplied) if self.unapplied else ''})",
+            f"events          : fired {', '.join(self.fired) or 'none'}",
             f"server restarts : {self.server_kills} kill(s), "
             f"{self.epochs} epoch(s) in journal",
         ]
@@ -442,9 +360,6 @@ class ChaosReport:
                          "reference")
         for failure in self.failures:
             lines.append(f"    failed: {failure}")
-        if self.worker_restarts is not None:
-            lines.append(f"worker restarts : {self.worker_restarts} "
-                         f"(final incarnation)")
         lines.append(f"verdict         : {self.verdict}")
         return "\n".join(lines)
 
@@ -488,7 +403,7 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
     1. Simulate every kernel serially in-process (no cache, no pool):
        the golden reference.
     2. Start a journaled ``repro serve`` subprocess (isolated cache
-       dir, ``--batch-max 1``) and drive the same sweep through
+       dir, ``--batch-max 2``) and drive the same sweep through
        :meth:`ServeClient.run`, firing the plan's events at their
        resolved progress points.
     3. Drain the daemon, replay the journal read-only, and compare:
@@ -522,7 +437,7 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
                          seed=plan.seed, kernels=names)
 
     specs = [RunSpec(name, scale, data_seed, cfg) for name in names]
-    pending = plan.resolve(len(specs))
+    pending = plan.resolve(len(specs))   # sorted by trigger
     drop_armed = {"n": 0}
 
     def chaos_drop(method: str, path: str) -> bool:
@@ -531,38 +446,26 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
             return True
         return False
 
-    def fire(spec: ChaosSpec, trigger: int) -> bool:
-        """Inject one event; False when it found nothing to act on (a
-        ``kill-worker`` between pool batches), so it re-arms."""
-        label = f"{spec.kind}@{trigger}"
-        if spec.kind == "kill-worker":
-            # Pool workers exist only while a multi-job batch is in
-            # flight: kill one if it is there, else try the next poll.
-            pids = driver.worker_pids()
-            try:
-                os.kill(pids[0], signal.SIGKILL)
-            except (IndexError, OSError):
-                return False
-        notify(f"chaos: firing {label}")
-        if spec.kind == "kill-server":
-            driver.kill()
-            driver.start()
-        elif spec.kind == "corrupt-journal":
-            driver.kill()
-            driver.corrupt_journal_tail()
-            driver.start()
-        elif spec.kind == "drop-conn":
-            drop_armed["n"] += 1
-        elif spec.kind == "slow-client":
-            time.sleep(1.0)
-        elif spec.kind == "malformed-envelope":
-            _send_malformed("127.0.0.1", driver.port)
-        report.fired.append(label)
-        return True
-
     def on_poll(done: int, total: int) -> None:
-        pending[:] = [(trigger, spec) for trigger, spec in pending
-                      if trigger > done or not fire(spec, trigger)]
+        """Fire every event whose trigger ``done`` has reached."""
+        while pending and pending[0][0] <= done:
+            trigger, spec = pending.pop(0)
+            label = f"{spec.kind}@{trigger}"
+            notify(f"chaos: firing {label}")
+            if spec.kind == "kill-server":
+                driver.kill()
+                driver.start()
+            elif spec.kind == "corrupt-journal":
+                driver.kill()
+                driver.corrupt_journal_tail()
+                driver.start()
+            elif spec.kind == "drop-conn":
+                drop_armed["n"] += 1
+            elif spec.kind == "slow-client":
+                time.sleep(1.0)
+            elif spec.kind == "malformed-envelope":
+                _send_malformed("127.0.0.1", driver.port)
+            report.fired.append(label)
 
     # 2. The drill.
     driver.start()
@@ -571,15 +474,9 @@ def run_chaos(plan: ChaosPlan, kernels: Optional[Sequence[str]] = None, *,
     client.chaos_drop = chaos_drop
     try:
         outcomes = client.run(specs, poll=0.05, on_poll=on_poll)
-        try:
-            report.worker_restarts = client.health()["worker_restarts"]
-        except Exception:   # diagnostics, not the contract
-            pass
     finally:
         driver.stop()
     report.server_kills = driver.kills
-    report.unapplied = [f"{spec.kind}@{trigger}"
-                        for trigger, spec in pending]
 
     # 3. The audit.
     replay = replay_journal(driver.journal_path, quarantine=False)

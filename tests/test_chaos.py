@@ -4,7 +4,7 @@ The full subprocess drills run in CI's chaos-smoke job and via
 ``repro chaos``; here we pin down the deterministic plumbing — the
 plan grammar, seeded trigger resolution, and the report verdict — so a
 drill's behaviour is reproducible from its spec string alone, plus one
-small real drill whose planned event cannot take effect.
+small real drill of the default plan.
 """
 
 import pytest
@@ -31,11 +31,6 @@ class TestPlanGrammar:
         text = "kill-server@mid,drop-conn,corrupt-journal@2,seed=7"
         assert ChaosPlan.parse(text).to_spec() == text
 
-    def test_long_form_aliases(self):
-        plan = ChaosPlan.parse("drop-connection,corrupt-journal-tail")
-        assert [s.kind for s in plan.specs] \
-            == ["drop-conn", "corrupt-journal"]
-
     def test_default_plan_covers_every_kind(self):
         plan = ChaosPlan.parse(DEFAULT_PLAN)
         assert sorted(s.kind for s in plan.specs) == sorted(CHAOS_KINDS)
@@ -51,13 +46,6 @@ class TestPlanGrammar:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             ChaosPlan.parse("kill-server,seed=lucky")
-
-    def test_generate_rotates_kinds_deterministically(self):
-        a = ChaosPlan.generate(seed=3, count=8)
-        b = ChaosPlan.generate(seed=3, count=8)
-        assert a == b
-        assert [s.kind for s in a.specs] \
-            == [CHAOS_KINDS[i % len(CHAOS_KINDS)] for i in range(8)]
 
 
 class TestTriggerResolution:
@@ -85,16 +73,13 @@ class TestTriggerResolution:
         assert [t for t, _ in other.resolve(12)] != [t for t, _ in first] \
             or other.resolve(12) != first
 
-    def test_unpinned_kill_worker_arms_at_the_start(self):
-        # seed 1 draws kill-worker@9 of 12: by then the daemon has
-        # finished the sweep and no pool is left to kill
+    def test_default_plan_positions_are_pinned_by_the_seed(self):
+        # Every kind draws from the seed in spec order; each trigger is
+        # below the sweep size, so the final poll fires them all.
         plan = ChaosPlan.parse(DEFAULT_PLAN + ",seed=1")
-        # ... and the other events keep their seeded positions
         assert {s.kind: t for t, s in plan.resolve(12)} == {
-            "kill-worker": 0, "drop-conn": 1, "slow-client": 1,
-            "kill-server": 2, "corrupt-journal": 4,
-            "malformed-envelope": 7}
-        assert ChaosSpec("kill-worker", "mid").trigger(12, None) == 6
+            "kill-server": 2, "drop-conn": 9, "corrupt-journal": 1,
+            "slow-client": 4, "malformed-envelope": 1}
 
     def test_resolve_single_job_sweep(self):
         plan = ChaosPlan.parse(DEFAULT_PLAN)
@@ -128,17 +113,6 @@ class TestReport:
         assert not report.ok
         assert "verdict         : FAIL" in report.render()
 
-    def test_an_event_without_effect_is_inconclusive(self):
-        report = self._report(unapplied=["kill-worker@0"])
-        assert not report.ok
-        assert report.verdict == "INCONCLUSIVE"
-        text = report.render()
-        assert "(1 unapplied: kill-worker@0)" in text
-        assert "verdict         : INCONCLUSIVE" in text
-        # a broken contract still reads FAIL
-        assert self._report(unapplied=["kill-worker@0"],
-                            mismatches=["gzip"]).verdict == "FAIL"
-
     def test_render_surfaces_the_evidence(self):
         report = self._report(
             violations=["k: completed without an accepted record"],
@@ -151,12 +125,15 @@ class TestReport:
 
 
 class TestDrill:
-    def test_kill_worker_without_a_pool_is_inconclusive(self, tmp_path):
-        # One in-process worker: the daemon never starts a pool, so the
-        # planned kill can never land and the drill must not read OK.
-        report = run_chaos(ChaosPlan.parse("kill-worker@start"), ["gzip"],
-                           scale=0.05, jobs=1, workdir=str(tmp_path))
-        assert report.fired == []
-        assert report.unapplied == ["kill-worker@0"]
-        assert not (report.failures or report.mismatches)
-        assert report.verdict == "INCONCLUSIVE"
+    def test_default_plan_fires_every_kind_and_passes(self, tmp_path):
+        # Two kernels, so all five events land on progress 0 or 1: two
+        # daemon kills (one with a corrupted journal tail), a dropped
+        # connection, a stalled client and a malformed request.
+        report = run_chaos(ChaosPlan.parse(DEFAULT_PLAN + ",seed=1"),
+                           ["gzip", "mcf"], scale=0.05, jobs=2,
+                           workdir=str(tmp_path))
+        assert report.verdict == "OK", report.render()
+        assert sorted(label.split("@")[0] for label in report.fired) \
+            == sorted(CHAOS_KINDS)
+        assert report.server_kills == 2
+        assert report.quarantined == 3

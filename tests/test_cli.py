@@ -59,6 +59,20 @@ class TestMakeConfig:
         assert exc.value.code == 2
         assert "invalid register count" in capsys.readouterr().err
 
+    def test_config_error_exits_2_without_policy_hint(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_config(self.parse("run", "gzip", "--regs", "0"))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "phys_regs must cover" in err and "hint:" not in err
+
+    def test_unknown_policy_names_the_known_ones(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_config(self.parse("run", "gzip", "--policy", "nosuch"))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unknown policy 'nosuch'" in err and "'vect'" in err
+
     def test_suite_table_labels_inf_regs(self):
         from types import SimpleNamespace
         from repro.cli import _suite_table

@@ -208,3 +208,22 @@ class TestSingleHashAuthority:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == entry["key"]
+
+    def test_checked_faulted_run_loads_no_networking(self):
+        # The chaos harness (subprocesses, sockets, HTTP) is imported
+        # only by 'repro chaos', never by a checked or faulted run.
+        script = (
+            "import sys\n"
+            "from repro import build_program, configs, run_program\n"
+            "run_program(build_program('bzip2', 0.05, 1),\n"
+            "            configs.ci(1, 512), check=True,\n"
+            "            faults='squash@300')\n"
+            "loaded = {'ssl', 'http.client'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr

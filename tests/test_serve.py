@@ -858,18 +858,29 @@ class TestRuntimeRetries:
 
     def test_worker_deaths_absorbed_by_runtime_counted_once(
             self, tmp_path, monkeypatch):
+        # The deterministic worker kill, audited like a chaos drill: the
+        # journal replays clean with no job simulated twice.
+        from repro.serve.journal import replay_journal
+        jpath = str(tmp_path / "journal.jsonl")
         self._kill_pools(monkeypatch, passes=2)
-        before = parallel_mod.pool_restart_count()
-        server = self._server(tmp_path)
+        server = self._server(tmp_path, journal=jpath)
         specs = [RunSpec(k, SCALE, SEED) for k in self.KERNELS]
 
-        outcomes = _drive(server, lambda client: client.run(specs))
+        def drive(client):
+            before = client.health()["worker_restarts"]
+            outcomes = client.run(specs)
+            return outcomes, client.health()["worker_restarts"] - before
+
+        outcomes, restarts = _drive(server, drive)
         assert [st.state for st, _ in outcomes] \
             == [protocol.DONE] * len(specs)
         assert server.breaker.state == CircuitBreaker.OK
         assert server.counters["circuit_trips"] == 0
-        assert parallel_mod.pool_restart_count() - before == 2
+        assert restarts == 2
         assert server.executor.tally()["sim"] == len(specs)
+        replay = replay_journal(jpath, quarantine=False)
+        assert replay.consistent, replay.violations
+        assert replay.duplicate_sims() == []
 
     def test_exhausted_budget_fails_jobs_and_opens_breaker(
             self, tmp_path, monkeypatch):
