@@ -12,8 +12,6 @@ Commands
 ``trace``    trace-driven profile of a kernel (branches, strides, reconv.)
 ``faults``   fault-injection sweep: seeded mechanism faults across the
              suite, each run held to the invariant checker + state oracle
-``chaos``    service-layer chaos drill: kill/corrupt a journaled
-             ``repro serve`` subprocess mid-sweep, assert clean recovery
 ``cache``    inspect, verify or clear the persistent simulation-result cache
 ``serve``    run the simulation service daemon (async HTTP/JSON front end
              over warm runners and the result cache; see DESIGN.md §10)
@@ -73,15 +71,6 @@ def _regs_arg(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid register count {text!r} (int or 'inf')") from None
-
-
-def _seeds_arg(text: str) -> List[int]:
-    """``chaos --seed``: one seed or a comma-separated list of them."""
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid seed list {text!r} (e.g. 7 or 1,2,3)") from None
 
 
 def _add_regs_arg(p: argparse.ArgumentParser) -> None:
@@ -471,32 +460,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       journal=journal)
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults.chaos import DEFAULT_PLAN, ChaosPlan, run_chaos
-    kernels = args.kernels.split(",") if args.kernels else None
-    on_event = (lambda m: print(f"repro chaos: {m}", file=sys.stderr)) \
-        if args.verbose else None
-    bad = 0
-    for i, seed in enumerate(args.seed):
-        text = args.plan or DEFAULT_PLAN
-        if "seed=" not in text:
-            text = f"{text},seed={seed}"
-        try:
-            plan = ChaosPlan.parse(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = run_chaos(plan, kernels, scale=args.scale,
-                           data_seed=args.data_seed, jobs=args.jobs,
-                           on_event=on_event)
-        if i:
-            print()
-        print(report.render())
-        if not report.ok:
-            bad += 1
-    if len(args.seed) > 1:
-        print(f"\n{len(args.seed) - bad}/{len(args.seed)} drill(s) passed")
-    return 1 if bad else 0
+
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -758,31 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     psm.add_argument("--quiet", "-q", action="store_true",
                      help="suppress the per-job status stream on stderr")
     psm.set_defaults(fn=cmd_submit)
-
-    pch = sub.add_parser(
-        "chaos",
-        help="service-layer chaos drill: crash/restart a journaled "
-             "'repro serve' subprocess mid-sweep and audit recovery")
-    pch.add_argument("--plan", default=None, metavar="SPEC",
-                     help="chaos plan, e.g. 'kill-server@mid,drop-conn' "
-                          "(default: every kind once at seeded "
-                          "positions)")
-    pch.add_argument("--seed", type=_seeds_arg, default=[0],
-                     metavar="A[,B,...]",
-                     help="plan seed for unpinned event positions; a "
-                          "list runs the drill once per seed "
-                          "(default: 0)")
-    pch.add_argument("--kernels", default=None, metavar="A,B,...",
-                     help="kernels to sweep (default: the whole suite)")
-    pch.add_argument("--scale", type=float, default=0.05,
-                     help="workload scale factor (default: 0.05)")
-    pch.add_argument("--data-seed", type=int, default=1, metavar="N",
-                     help="workload data seed (default: 1)")
-    pch.add_argument("--jobs", type=int, default=2, metavar="N",
-                     help="daemon worker processes (default: 2)")
-    pch.add_argument("--verbose", "-v", action="store_true",
-                     help="stream drill events to stderr")
-    pch.set_defaults(fn=cmd_chaos)
 
     pfa = sub.add_parser(
         "faults",

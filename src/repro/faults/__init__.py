@@ -23,13 +23,10 @@ systematically instead of waiting for a workload to stumble into them:
 :func:`run_checked` bundles all of it into one call and returns a
 :class:`FaultReport`; ``repro faults`` sweeps it across the suite.
 
-One level up, :mod:`repro.faults.chaos` applies the same discipline to
-the *serving* stack: seeded ``ChaosPlan`` drills (daemon kills, dropped
-connections, journal corruption) against a real ``repro serve``
-subprocess, audited for journal consistency and stats equivalence with
-a serial reference — ``repro chaos`` runs them.  It is imported only
-from there, so a checked or faulted simulation never loads the
-networking and subprocess modules the drills need.
+The serving stack's crash safety is not a fault kind here:
+``tests/test_serve_crash.py`` SIGKILLs a real ``repro serve``
+subprocess mid-job and audits the journal replay, the quarantine and
+the results against a serial run.
 """
 
 from __future__ import annotations

@@ -100,11 +100,11 @@ class ServeClient:
         self.reconnect_tries = max(0, reconnect_tries)
         self.on_event = on_event
         self._rng = random.Random()
-        #: chaos seam: when set, called as ``f(method, path)`` after the
+        #: test seam: when set, called as ``f(method, path)`` after the
         #: request is sent; returning True drops the connection before
         #: the response is read (exercises the reconnect path exactly
         #: where a real connection reset would land)
-        self.chaos_drop: Optional[Callable[[str, str], bool]] = None
+        self.drop_after_send: Optional[Callable[[str, str], bool]] = None
 
     @property
     def base_url(self) -> str:
@@ -126,10 +126,9 @@ class ServeClient:
                 payload = json.dumps(body)
                 headers["Content-Type"] = "application/json"
             conn.request(method, path, body=payload, headers=headers)
-            if self.chaos_drop is not None \
-                    and self.chaos_drop(method, path):
-                raise ConnectionResetError(
-                    "chaos: connection dropped after send")
+            if self.drop_after_send is not None \
+                    and self.drop_after_send(method, path):
+                raise ConnectionResetError("connection dropped after send")
             resp = conn.getresponse()
             raw = resp.read()
         finally:
@@ -233,9 +232,7 @@ class ServeClient:
     def run(self, specs: Sequence[RunSpec],
             on_update: Optional[Callable[[str, JobStatus], None]] = None,
             poll: float = POLL_INTERVAL,
-            backoff_tries: int = 60,
-            on_poll: Optional[Callable[[int, int], None]] = None,
-            ) -> List[Outcome]:
+            backoff_tries: int = 60) -> List[Outcome]:
         """Submit, ride out backpressure and restarts, poll to completion.
 
         Per-spec, order-preserving.  Rejections with a ``retry_after``
@@ -251,9 +248,7 @@ class ServeClient:
         simulation is duplicated and the final outcomes are identical
         to an uninterrupted run.
 
-        ``on_update(id, status)`` fires on every observed state change;
-        ``on_poll(done, total)`` fires once per poll round (the chaos
-        harness's injection point).
+        ``on_update(id, status)`` fires on every observed state change.
         """
         outcomes: List[Optional[Outcome]] = [None] * len(specs)
         waiting: Dict[str, int] = {}          # job id -> spec index
@@ -317,9 +312,6 @@ class ServeClient:
                 self._event(f"server lost {len(reattach)} job id(s) "
                             f"(restart?); resubmitting to reattach")
                 todo.extend(reattach)
-            if on_poll is not None:
-                on_poll(sum(1 for o in outcomes if o is not None),
-                        len(specs))
             if waiting and not todo:
                 time.sleep(poll)
         assert all(o is not None for o in outcomes)

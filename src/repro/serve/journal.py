@@ -18,7 +18,7 @@ Identity is the canonical :func:`repro.runtime.keys.run_key` (via
 after a restart re-attaches to the replayed entry instead of
 duplicating the simulation.  The journal is therefore also an audit
 log — :meth:`JournalReplay.duplicate_sims` proves that no key was ever
-*simulated* twice, which the chaos harness asserts after every drill.
+*simulated* twice, which the crash tests assert after a real kill -9.
 
 File format, one record per line::
 
@@ -77,7 +77,7 @@ class JournalReplay:
     terminal completion source per key so the duplicate-simulation
     audit survives resubmission cycles (accepted → completed → accepted
     → completed is legal; two ``source == "sim"`` completions for one
-    key is the violation the chaos harness hunts)."""
+    key is the violation the audit exists to catch)."""
 
     path: str
     #: verified records applied to the state machine
@@ -175,7 +175,7 @@ def replay_journal(path: str, quarantine: bool = True) -> JournalReplay:
     to ``<path>.quarantine`` and the journal is *healed*: rewritten
     atomically with only the verified lines, so a second replay is
     idempotent and reports zero corruption.  With ``quarantine=False``
-    (audit path, e.g. the chaos harness inspecting a live file) nothing
+    (audit path, e.g. a test inspecting a live file) nothing
     on disk is modified."""
     replay = JournalReplay(path=path)
     try:
@@ -248,10 +248,10 @@ class JobJournal:
     """Append-only fsync'd journal of job lifecycle transitions.
 
     One instance per server; appends are serialised by a lock (the
-    event loop is the only writer in practice, but the chaos harness
-    and tests append from other threads).  ``append_many`` amortises
-    one flush+fsync over a batch — the dispatcher journals a whole
-    batch's ``started`` records with a single durability point."""
+    event loop is the only writer in practice, but tests append from
+    other threads).  ``append_many`` amortises one flush+fsync over a
+    batch — the dispatcher journals a whole batch's ``started`` records
+    with a single durability point."""
 
     def __init__(self, path: str, fsync: bool = True):
         self.path = path

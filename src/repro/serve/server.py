@@ -332,7 +332,15 @@ class ServeServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        split = urlsplit(target)
+        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return (method, split.path, query,
+                    ProtocolError("bad Content-Length"))
         if length > MAX_BODY:
             raise asyncio.IncompleteReadError(b"", None)
         body: object = None
@@ -342,8 +350,6 @@ class ServeServer:
                 body = json.loads(raw_body)
             except ValueError:
                 body = ProtocolError("request body is not valid JSON")
-        split = urlsplit(target)
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
         return method, split.path, query, body
 
     def _write_response(self, writer: asyncio.StreamWriter, status: int,

@@ -116,3 +116,29 @@ def test_figure_table_byte_identical(monkeypatch):
                             cache=ResultCache(enabled=False))
     produced = fig05.compute(runner).render() + "\n"
     assert produced == _golden_bytes("fig05.txt")
+
+
+def test_golden_digest_is_registered_for_the_cache_schema():
+    """A model change cannot keep its old cache key (ROADMAP item 23).
+
+    Regenerating the goldens means the model's output changed, so every
+    result cached under the current ``CACHE_SCHEMA`` is stale.
+    ``schema_digests.json`` is an append-only ``{schema: digest}`` table
+    over the model-output goldens; the current goldens must be the row
+    of the current schema."""
+    import hashlib
+
+    from repro.runtime.keys import CACHE_SCHEMA
+
+    names = sorted(n for n in os.listdir(GOLDEN)
+                   if n.startswith("suite_") and n.endswith(".json"))
+    digest = hashlib.sha256()
+    for name in names + ["fig05.txt"]:
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            digest.update(fh.read())
+    table = json.loads(_golden_bytes("schema_digests.json"))
+    assert table.get(str(CACHE_SCHEMA)) == digest.hexdigest(), (
+        f"the goldens are not those of CACHE_SCHEMA {CACHE_SCHEMA}: bump "
+        f"CACHE_SCHEMA and append a row "
+        f'"{CACHE_SCHEMA + 1}": "{digest.hexdigest()}" to '
+        f"tests/golden/schema_digests.json")

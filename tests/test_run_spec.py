@@ -210,8 +210,8 @@ class TestSingleHashAuthority:
         assert proc.stdout.strip() == entry["key"]
 
     def test_checked_faulted_run_loads_no_networking(self):
-        # The chaos harness (subprocesses, sockets, HTTP) is imported
-        # only by 'repro chaos', never by a checked or faulted run.
+        # A checked or faulted run stays in process: the networking
+        # modules belong to the serving layer alone.
         script = (
             "import sys\n"
             "from repro import build_program, configs, run_program\n"

@@ -9,8 +9,12 @@ production, minus the subprocess.
 import asyncio
 import http.client
 import json
+import multiprocessing
 import os
+import signal
+import socket
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -749,7 +753,7 @@ class TestCrashRecovery:
         assert server.executor.tally()["sim"] == 1
         assert replay_journal(jpath, quarantine=False).consistent
 
-    def test_chaos_drop_reconnects_and_coalesces(self, tmp_path):
+    def test_dropped_connection_reconnects_and_coalesces(self, tmp_path):
         """A connection cut after the submit is sent must not lose or
         duplicate the job: the retry coalesces onto the accepted one."""
         server = _serve_fixture(tmp_path)
@@ -770,7 +774,7 @@ class TestCrashRecovery:
                     return True
                 return False
 
-            client.chaos_drop = drop
+            client.drop_after_send = drop
             [(status, stats)] = client.run(
                 [RunSpec(kernel="gzip", scale=SCALE, seed=SEED)])
             assert drops == {"submit": 0, "poll": 0}   # both fired
@@ -842,8 +846,37 @@ def _die_in_pool(job):
     return _real_run_job(job)
 
 
+def _signal_state():
+    """A pool worker's inherited signal state: (wakeup fd, SIGTERM is
+    the default action).  Clearing the wakeup fd returns the old one."""
+    return (signal.set_wakeup_fd(-1),
+            signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+
+
 class TestRuntimeRetries:
     KERNELS = ("gzip", "mcf", "vpr")
+
+    def test_pool_workers_drop_the_daemons_signal_state(self):
+        """A forked worker must not inherit the daemon's event-loop
+        wakeup fd or SIGTERM handler: the SIGTERM ``concurrent.futures``
+        sends survivors when a worker dies would otherwise land in the
+        daemon's self-pipe and drain it (DESIGN §12.2)."""
+        loop_end, other_end = socket.socketpair()
+        loop_end.setblocking(False)
+        old_fd = signal.set_wakeup_fd(loop_end.fileno())
+        old_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=1,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=parallel_mod._worker_init) as pool:
+                assert pool.submit(_signal_state).result(timeout=60) \
+                    == (-1, True)
+        finally:
+            signal.set_wakeup_fd(old_fd)
+            signal.signal(signal.SIGTERM, old_handler)
+            loop_end.close()
+            other_end.close()
 
     def _kill_pools(self, monkeypatch, passes):
         monkeypatch.setenv("_REPRO_TEST_PARENT", str(os.getpid()))
@@ -858,8 +891,8 @@ class TestRuntimeRetries:
 
     def test_worker_deaths_absorbed_by_runtime_counted_once(
             self, tmp_path, monkeypatch):
-        # The deterministic worker kill, audited like a chaos drill: the
-        # journal replays clean with no job simulated twice.
+        # The deterministic worker kill, audited like a daemon crash:
+        # the journal replays clean with no job simulated twice.
         from repro.serve.journal import replay_journal
         jpath = str(tmp_path / "journal.jsonl")
         self._kill_pools(monkeypatch, passes=2)
